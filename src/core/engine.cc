@@ -70,13 +70,6 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
   return Engine(options, std::move(objects), std::move(feature_tables));
 }
 
-Result<Engine> Engine::Create(std::vector<DataObject> objects,
-                              std::vector<FeatureTable> feature_tables,
-                              EngineOptions options) {
-  return Build(std::move(objects), std::move(feature_tables),
-               std::move(options));
-}
-
 Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
                std::vector<FeatureTable> feature_tables)
     : options_(std::move(options)),

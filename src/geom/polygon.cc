@@ -60,8 +60,12 @@ bool ConvexPolygon::Contains(const Point& p, double eps) const {
     const Point& a = vertices_[i];
     const Point& b = vertices_[(i + 1) % n];
     // CCW orientation: inside points have non-negative cross products.
-    double cross = (b.x - a.x) * (p.y - a.y) - (b.y - a.y) * (p.x - a.x);
-    if (cross < -eps) return false;
+    // The cross product is the signed distance to the edge's line times
+    // the edge length, so scaling eps by the length makes it a distance.
+    const double dx = b.x - a.x;
+    const double dy = b.y - a.y;
+    const double cross = dx * (p.y - a.y) - dy * (p.x - a.x);
+    if (cross < -eps * std::sqrt(dx * dx + dy * dy)) return false;
   }
   return true;
 }

@@ -50,7 +50,8 @@ class ConvexPolygon {
 
   bool IsEmpty() const { return vertices_.size() < 3; }
 
-  /// Point-in-polygon test (boundary counts as inside).
+  /// Point-in-polygon test (boundary counts as inside).  `eps` is a
+  /// distance: points up to `eps` outside an edge still count as inside.
   bool Contains(const Point& p, double eps = 1e-9) const;
 
   /// Axis-aligned bounding box; Rect2::Empty() if the polygon is empty.

@@ -7,45 +7,54 @@ namespace stpq {
 
 namespace {
 
-uint32_t EffectiveSignatureBits(const FeatureIndexOptions& opts,
-                                uint32_t universe_size) {
-  // The signature must scale with the vocabulary so that larger keyword
-  // universes preserve selectivity (the paper's Fig 7(d) observes node
-  // capacity dropping with more indexed keywords for both indexes).
-  return opts.signature_bits != 0 ? opts.signature_bits
-                                  : std::max(64u, 2 * universe_size);
-}
-
-RTreeOptions MakeTreeOptions(const FeatureIndexOptions& opts,
-                             uint32_t signature_bits) {
-  RTreeOptions t;
-  uint32_t aug_bytes = 8 + signature_bits / 8;
-  t.max_entries = FanOutForPage(opts.page_size_bytes, 2, aug_bytes);
-  t.buffer_pool = opts.buffer_pool;
-  t.page_base = opts.page_base;
-  return t;
+TreeGeometry GeometryFor(const FeatureIndexOptions& options,
+                         const FeatureTable& table) {
+  return Ir2Tree::Geometry(options.page_size_bytes, options.signature_bits,
+                           table.universe_size());
 }
 
 }  // namespace
 
+TreeGeometry Ir2Tree::Geometry(uint32_t page_size_bytes,
+                               uint32_t signature_bits,
+                               uint32_t universe_size) {
+  TreeGeometry g;
+  // The signature must scale with the vocabulary so that larger keyword
+  // universes preserve selectivity (the paper's Fig 7(d) observes node
+  // capacity dropping with more indexed keywords for both indexes).
+  g.aug_bits = signature_bits != 0 ? signature_bits
+                                   : std::max(64u, 2 * universe_size);
+  g.aug_words = (g.aug_bits + 63) / 64;
+  // Persisted: max score + the signature padded to whole words.  The
+  // fan-out charges only the raw signature bytes.
+  g.aug_bytes = 8 + 8 * g.aug_words;
+  g.max_entries = FanOutForPage(page_size_bytes, 2, 8 + g.aug_bits / 8);
+  return g;
+}
+
+RTree<2, Ir2Aug>::Entry Ir2Tree::LeafEntry(const SignatureScheme& scheme,
+                                           const FeatureObject& f,
+                                           uint32_t id) {
+  return {PointRect(f.pos), id,
+          Ir2Aug{f.score, scheme.SetSignature(f.keywords)}};
+}
+
 Ir2Tree::Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options)
     : FeatureIndex(options.set_ordinal),
       table_(table),
-      scheme_(EffectiveSignatureBits(options, table->universe_size()),
-              options.signature_hashes),
-      tree_(MakeTreeOptions(options, scheme_.signature_bits())) {
+      scheme_(GeometryFor(options, *table).aug_bits, options.signature_hashes),
+      tree_(TreeOptionsFor(options, GeometryFor(options, *table))) {
   using Entry = RTree<2, Ir2Aug>::Entry;
   std::vector<Entry> records;
   records.reserve(table_->size());
   for (const FeatureObject& f : table_->All()) {
-    records.push_back(Entry{PointRect(f.pos), f.id,
-                            Ir2Aug{f.score, scheme_.SetSignature(f.keywords)}});
+    records.push_back(LeafEntry(scheme_, f, f.id));
   }
   switch (options.bulk_load) {
     case BulkLoadKind::kHilbert: {
       // Spatial-only Hilbert packing: the IR2-tree clusters by location.
       Rect2 domain = ComputeDomain<2, Ir2Aug>(records);
-      SortByHilbertKey<2, Ir2Aug>(&records, domain, /*bits_per_dim=*/16);
+      SortByHilbertKey<2, Ir2Aug>(&records, domain, kHilbertBitsPerDim);
       tree_.BulkLoadSorted(records, options.fill);
       break;
     }
@@ -67,9 +76,8 @@ Ir2Tree::Ir2Tree(const FeatureTable* table,
                  RestoredTreeData<2, Ir2Aug> restored)
     : FeatureIndex(options.set_ordinal),
       table_(table),
-      scheme_(EffectiveSignatureBits(options, table->universe_size()),
-              options.signature_hashes),
-      tree_(MakeTreeOptions(options, scheme_.signature_bits())) {
+      scheme_(GeometryFor(options, *table).aug_bits, options.signature_hashes),
+      tree_(TreeOptionsFor(options, GeometryFor(options, *table))) {
   AdoptRestoredTree(&tree_, std::move(restored));
   STPQ_VALIDATE(ValidateIr2Tree(*this));
 }

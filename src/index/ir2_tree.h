@@ -42,6 +42,17 @@ class Ir2Tree : public FeatureIndex {
   Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options,
           RestoredTreeData<2, Ir2Aug> restored);
 
+  /// Page geometry for a configured signature width (0 = scale with the
+  /// universe) over a keyword universe of `universe_size` terms.
+  static TreeGeometry Geometry(uint32_t page_size_bytes,
+                               uint32_t signature_bits, uint32_t universe_size);
+
+  /// Leaf entry of feature `f` under record id `id`: its point, score and
+  /// keyword signature under `scheme`.
+  static RTree<2, Ir2Aug>::Entry LeafEntry(const SignatureScheme& scheme,
+                                           const FeatureObject& f,
+                                           uint32_t id);
+
   NodeId RootId() const override;
   uint16_t NodeLevel(NodeId node_id) const override {
     return tree_.PeekNode(node_id).level;

@@ -6,19 +6,16 @@
 
 namespace stpq {
 
-namespace {
-RTreeOptions MakeTreeOptions(const ObjectIndexOptions& opts) {
-  RTreeOptions t;
-  t.max_entries = FanOutForPage(opts.page_size_bytes, 2, /*aug_bytes=*/0);
-  t.buffer_pool = opts.buffer_pool;
-  t.page_base = opts.page_base;
-  return t;
+TreeGeometry ObjectIndex::Geometry(uint32_t page_size_bytes) {
+  TreeGeometry g;
+  g.max_entries = FanOutForPage(page_size_bytes, 2, /*aug_bytes=*/0);
+  return g;
 }
-}  // namespace
 
 ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
                          const ObjectIndexOptions& options)
-    : objects_(objects), tree_(MakeTreeOptions(options)) {
+    : objects_(objects),
+      tree_(TreeOptionsFor(options, Geometry(options.page_size_bytes))) {
   using Entry = RTree<2>::Entry;
   std::vector<Entry> records;
   records.reserve(objects_->size());
@@ -27,7 +24,7 @@ ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
         Entry{PointRect((*objects_)[i].pos), static_cast<uint32_t>(i), {}});
   }
   domain_ = ComputeDomain<2, NoAug>(records);
-  SortByHilbertKey<2, NoAug>(&records, domain_, /*bits_per_dim=*/16);
+  SortByHilbertKey<2, NoAug>(&records, domain_, kHilbertBitsPerDim);
   tree_.BulkLoadSorted(records, options.fill);
   STPQ_VALIDATE(ValidateObjectIndex(*this));
 }
@@ -35,7 +32,8 @@ ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
 ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
                          const ObjectIndexOptions& options,
                          RestoredTreeData<2, NoAug> restored)
-    : objects_(objects), tree_(MakeTreeOptions(options)) {
+    : objects_(objects),
+      tree_(TreeOptionsFor(options, Geometry(options.page_size_bytes))) {
   AdoptRestoredTree(&tree_, std::move(restored));
   domain_ = Rect2::Empty();
   for (const DataObject& o : *objects_) domain_.Enlarge(PointRect(o.pos));

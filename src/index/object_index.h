@@ -34,6 +34,9 @@ class ObjectIndex {
               const ObjectIndexOptions& options,
               RestoredTreeData<2, NoAug> restored);
 
+  /// Page geometry: a plain 2-D R-tree, no augmentation.
+  static TreeGeometry Geometry(uint32_t page_size_bytes);
+
   const DataObject& Get(ObjectId id) const { return (*objects_)[id]; }
   size_t size() const { return objects_->size(); }
 

@@ -5,42 +5,44 @@
 
 namespace stpq {
 
-namespace {
-
-RTreeOptions MakeTreeOptions(const FeatureIndexOptions& opts,
-                             uint32_t universe_size) {
-  RTreeOptions t;
-  // Aug bytes: 8 (max score) + the aggregated Hilbert value.
-  uint32_t aug_bytes = 8 + 8 * ((universe_size + 63) / 64);
-  t.max_entries = FanOutForPage(opts.page_size_bytes, 4, aug_bytes);
-  t.buffer_pool = opts.buffer_pool;
-  t.page_base = opts.page_base;
-  return t;
+TreeGeometry SrtIndex::Geometry(uint32_t page_size_bytes,
+                                uint32_t universe_size) {
+  // Aug bytes: 8 (max score) + the aggregated Hilbert value, one bit per
+  // keyword of the universe.
+  TreeGeometry g;
+  g.aug_bits = universe_size;
+  g.aug_words = (universe_size + 63) / 64;
+  g.aug_bytes = 8 + 8 * g.aug_words;
+  g.max_entries = FanOutForPage(page_size_bytes, 4, g.aug_bytes);
+  return g;
 }
 
-}  // namespace
+RTree<4, SrtAug>::Entry SrtIndex::LeafEntry(const FeatureObject& f,
+                                            uint32_t id) {
+  HilbertValue hv = EncodeKeywords(f.keywords);
+  const std::array<double, 4> p{f.pos.x, f.pos.y, f.score,
+                                hv.ToUnitDouble()};
+  return {Rect4::FromPoint(p), id, SrtAug{f.score, std::move(hv), f.keywords}};
+}
 
 SrtIndex::SrtIndex(const FeatureTable* table,
                    const FeatureIndexOptions& options)
     : FeatureIndex(options.set_ordinal),
       table_(table),
       build_kind_(options.bulk_load),
-      tree_(MakeTreeOptions(options, table->universe_size())) {
+      tree_(TreeOptionsFor(
+          options, Geometry(options.page_size_bytes, table->universe_size()))) {
   using Entry = RTree<4, SrtAug>::Entry;
   std::vector<Entry> records;
   records.reserve(table_->size());
   for (const FeatureObject& f : table_->All()) {
-    HilbertValue hv = EncodeKeywords(f.keywords);
-    // The mapped 4-D point of Section 4.2: {x, y, score, H(W)}.
-    std::array<double, 4> p{f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()};
-    records.push_back(Entry{Rect4::FromPoint(p), f.id,
-                            SrtAug{f.score, std::move(hv), f.keywords}});
+    records.push_back(LeafEntry(f, f.id));
   }
   switch (options.bulk_load) {
     case BulkLoadKind::kHilbert: {
       // Bulk insertion [9]: sort by the Hilbert key of the mapped 4-D point.
       Rect4 domain = ComputeDomain<4, SrtAug>(records);
-      SortByHilbertKey<4, SrtAug>(&records, domain, /*bits_per_dim=*/16);
+      SortByHilbertKey<4, SrtAug>(&records, domain, kHilbertBitsPerDim);
       tree_.BulkLoadSorted(records, options.fill);
       break;
     }
@@ -63,7 +65,8 @@ SrtIndex::SrtIndex(const FeatureTable* table,
     : FeatureIndex(options.set_ordinal),
       table_(table),
       build_kind_(options.bulk_load),
-      tree_(MakeTreeOptions(options, table->universe_size())) {
+      tree_(TreeOptionsFor(
+          options, Geometry(options.page_size_bytes, table->universe_size()))) {
   AdoptRestoredTree(&tree_, std::move(restored));
   STPQ_VALIDATE(ValidateSrtIndex(*this));
 }

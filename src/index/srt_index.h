@@ -77,6 +77,15 @@ class SrtIndex : public FeatureIndex {
   SrtIndex(const FeatureTable* table, const FeatureIndexOptions& options,
            RestoredTreeData<4, SrtAug> restored);
 
+  /// Page geometry over a keyword universe of `universe_size` terms.
+  static TreeGeometry Geometry(uint32_t page_size_bytes,
+                               uint32_t universe_size);
+
+  /// Leaf entry of feature `f` under record id `id`: the mapped 4-D point
+  /// of Section 4.2, {x, y, score, H(W)}.
+  static RTree<4, SrtAug>::Entry LeafEntry(const FeatureObject& f,
+                                           uint32_t id);
+
   NodeId RootId() const override;
   uint16_t NodeLevel(NodeId node_id) const override {
     return tree_.PeekNode(node_id).level;

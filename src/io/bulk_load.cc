@@ -1,7 +1,6 @@
 #include "io/bulk_load.h"
 
 #include <algorithm>
-#include <array>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -11,15 +10,15 @@
 #include <vector>
 
 #include "geom/rect.h"
-#include "hilbert/hilbert.h"
-#include "hilbert/keyword_hilbert.h"
 #include "index/ir2_tree.h"
+#include "index/object_index.h"
 #include "index/srt_index.h"
 #include "io/atomic_file.h"
 #include "io/dataset_io.h"
 #include "io/index_format.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
+#include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "text/signature.h"
 #include "util/logging.h"
@@ -32,74 +31,6 @@ namespace {
 
 constexpr uint32_t kMinExternalPageSize = 64;  // engine.cc kMinPageSizeBytes
 constexpr uint64_t kMinMemoryBudget = 4096;
-constexpr size_t kStreamBufferBytes = size_t{1} << 20;
-
-// --------------------------------------------------------- tree geometry
-//
-// BulkLoadSorted's shape is fully determined by (entry count, fan-out,
-// fill): leaves take `per_node` sorted records each, every parent level
-// chunks its children `per_node` at a time, node ids are assigned level by
-// level bottom-up.  Computing that shape up front lets the packer write
-// every slot at its final id the moment the node closes.
-
-struct TreeLayout {
-  uint64_t entry_count = 0;
-  uint32_t max_entries = 0;
-  uint32_t per_node = 0;
-  uint32_t entry_bytes = 0;
-  uint32_t slot_bytes = 0;
-  std::vector<uint64_t> level_counts;  ///< nodes per level, leaves first
-  std::vector<uint64_t> level_base;    ///< first node id of each level
-  uint64_t node_count = 0;
-  uint32_t height = 0;
-  uint32_t root = kInvalidNodeId;
-};
-
-TreeLayout ComputeTreeLayout(uint64_t entry_count, uint32_t max_entries,
-                             double fill, uint32_t entry_bytes,
-                             uint32_t page_size) {
-  TreeLayout l;
-  l.entry_count = entry_count;
-  l.max_entries = max_entries;
-  l.entry_bytes = entry_bytes;
-  l.slot_bytes = SlotBytesFor(max_entries, entry_bytes, page_size);
-  // Mirrors RTree: min_entries = max(2, max_entries * min_fill) with the
-  // default min_fill of 0.4, then per_node clamped into [min, max].
-  const uint32_t min_entries =
-      std::max<uint32_t>(2, static_cast<uint32_t>(max_entries * 0.4));
-  uint32_t per_node = std::max<uint32_t>(
-      min_entries, static_cast<uint32_t>(max_entries * fill));
-  l.per_node = std::min(per_node, max_entries);
-  if (entry_count == 0) return l;  // root stays invalid, height 0
-  l.level_counts.push_back((entry_count + l.per_node - 1) / l.per_node);
-  while (l.level_counts.back() > 1) {
-    const uint64_t prev = l.level_counts.back();
-    l.level_counts.push_back((prev + l.per_node - 1) / l.per_node);
-  }
-  l.level_base.resize(l.level_counts.size());
-  uint64_t base = 0;
-  for (size_t i = 0; i < l.level_counts.size(); ++i) {
-    l.level_base[i] = base;
-    base += l.level_counts[i];
-  }
-  l.node_count = base;
-  l.height = static_cast<uint32_t>(l.level_counts.size());
-  l.root = static_cast<uint32_t>(l.node_count - 1);
-  return l;
-}
-
-/// Hilbert key of a rectangle center within `domain`, exactly as
-/// SortByHilbertKey computes it (bits_per_dim = 16 in every builder).
-template <int D>
-uint64_t HilbertKeyForRect(const Rect<D>& rect, const Rect<D>& domain) {
-  double unit[D];
-  for (int d = 0; d < D; ++d) {
-    const double extent = domain.hi[d] - domain.lo[d];
-    unit[d] =
-        extent > 0.0 ? (rect.Center(d) - domain.lo[d]) / extent : 0.0;
-  }
-  return HilbertKeyFromUnit(unit, /*b=*/16, D);
-}
 
 // -------------------------------------------------------- external sort
 //
@@ -212,8 +143,6 @@ class ExternalSorter {
       if (pos_ >= filled_) return Refill();
       return Status::OK();
     }
-
-    const std::string& path() const { return path_; }
 
    private:
     uint64_t PodAt(size_t off) const {
@@ -386,199 +315,13 @@ class ExternalSorter {
   uint64_t spilled_bytes_ = 0;
 };
 
-// --------------------------------------------------------- level packer
-//
-// Consumes leaf entries in sorted order and emits finished node slots
-// bottom-up: a node closes the moment it holds `per_node` entries, its
-// summary entry (MBR union + Aug merge, exactly RTree::SummarizeNode)
-// cascades into the parent level's buffer.  Node ids come from the
-// precomputed level bases, so the interleaved close order still writes
-// every slot exactly where BulkLoadSorted's level-synchronous pass would.
-
-template <int D, typename Aug, typename Codec>
-class LevelPacker {
- public:
-  using Entry = typename RTree<D, Aug>::Entry;
-
-  LevelPacker(AtomicFile* out, uint64_t seg_offset, const TreeLayout* layout,
-              Codec codec)
-      : out_(out),
-        seg_offset_(seg_offset),
-        layout_(layout),
-        codec_(std::move(codec)),
-        buffers_(layout->height),
-        closed_(layout->height, 0) {
-    for (auto& b : buffers_) b.reserve(layout->per_node);
-  }
-
-  /// Parses one serialized leaf entry (the sorter blob) and adds it.
-  [[nodiscard]] Status AddLeafBlob(const char* blob) {
-    ByteReader r(blob, layout_->entry_bytes);
-    Entry e;
-    bool ok = true;
-    for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.lo[d]);
-    for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.hi[d]);
-    ok = ok && r.Pod(&e.id) && codec_.Read(r, &e.aug);
-    STPQ_CHECK(ok && "bulk-load entry blob decode failed");
-    ++leaves_added_;
-    return AddEntry(0, std::move(e));
-  }
-
-  /// Flushes every partially filled level, cascading summaries upward.
-  [[nodiscard]] Status Finish() {
-    if (leaves_added_ != layout_->entry_count) {
-      return Status::Internal("bulk load fed " +
-                              std::to_string(leaves_added_) +
-                              " records to a tree laid out for " +
-                              std::to_string(layout_->entry_count));
-    }
-    for (uint32_t level = 0; level < layout_->height; ++level) {
-      if (!buffers_[level].empty()) STPQ_RETURN_NOT_OK(CloseNode(level));
-    }
-    for (uint32_t level = 0; level < layout_->height; ++level) {
-      if (closed_[level] != layout_->level_counts[level]) {
-        return Status::Internal("bulk load closed " +
-                                std::to_string(closed_[level]) +
-                                " nodes at level " + std::to_string(level) +
-                                ", layout expects " +
-                                std::to_string(layout_->level_counts[level]));
-      }
-    }
-    return Status::OK();
-  }
-
- private:
-  [[nodiscard]] Status AddEntry(uint32_t level, Entry e) {
-    buffers_[level].push_back(std::move(e));
-    if (buffers_[level].size() == layout_->per_node) return CloseNode(level);
-    return Status::OK();
-  }
-
-  [[nodiscard]] Status CloseNode(uint32_t level) {
-    std::vector<Entry>& buf = buffers_[level];
-    const uint64_t id = layout_->level_base[level] + closed_[level];
-    ++closed_[level];
-    slot_.clear();
-    PutPod<uint16_t>(&slot_, static_cast<uint16_t>(level));
-    PutPod<uint16_t>(&slot_, 0);
-    PutPod<uint32_t>(&slot_, static_cast<uint32_t>(buf.size()));
-    for (const Entry& e : buf) {
-      for (int d = 0; d < D; ++d) PutPod(&slot_, e.rect.lo[d]);
-      for (int d = 0; d < D; ++d) PutPod(&slot_, e.rect.hi[d]);
-      PutPod<uint32_t>(&slot_, e.id);
-      codec_.Write(&slot_, e.aug);
-    }
-    if (slot_.size() > layout_->slot_bytes) {
-      return Status::Internal("index node overflows its slot: " +
-                              std::to_string(slot_.size()) + " > " +
-                              std::to_string(layout_->slot_bytes) + " bytes");
-    }
-    slot_.resize(layout_->slot_bytes);  // zero-pad to the slot boundary
-    STPQ_RETURN_NOT_OK(out_->WriteAt(seg_offset_ + id * layout_->slot_bytes,
-                                     slot_.data(), slot_.size()));
-    Entry summary;
-    summary.id = static_cast<uint32_t>(id);
-    summary.rect = buf.front().rect;
-    summary.aug = buf.front().aug;
-    for (size_t i = 1; i < buf.size(); ++i) {
-      summary.rect.Enlarge(buf[i].rect);
-      summary.aug = Aug::Merge(summary.aug, buf[i].aug);
-    }
-    buf.clear();
-    if (level + 1 < layout_->height) {
-      return AddEntry(level + 1, std::move(summary));
-    }
-    return Status::OK();  // the root's summary has no parent
-  }
-
-  AtomicFile* out_;
-  const uint64_t seg_offset_;
-  const TreeLayout* layout_;
-  const Codec codec_;
-  std::vector<std::vector<Entry>> buffers_;
-  std::vector<uint64_t> closed_;
-  std::string slot_;
-  uint64_t leaves_added_ = 0;
-};
-
-// ------------------------------------------------------ segment writing
-
-/// Buffered appender for one record segment: accumulates bytes, flushes to
-/// the AtomicFile at a running offset, and folds everything written into
-/// the segment checksum.  Errors are sticky and surface at Finish.
-class SegmentWriter {
- public:
-  SegmentWriter(AtomicFile* out, uint64_t offset)
-      : out_(out), offset_(offset) {}
-
-  template <typename T>
-  void Pod(const T& v) {
-    PutPod(&buf_, v);
-    MaybeFlush();
-  }
-
-  void Str(const std::string& s) {
-    PutString(&buf_, s);
-    MaybeFlush();
-  }
-
-  [[nodiscard]] Status Finish(uint64_t* bytes, uint64_t* checksum) {
-    Flush();
-    STPQ_RETURN_NOT_OK(status_);
-    *bytes = written_;
-    *checksum = fnv_.Digest();
-    return Status::OK();
-  }
-
- private:
-  void MaybeFlush() {
-    if (buf_.size() >= kStreamBufferBytes) Flush();
-  }
-
-  void Flush() {
-    if (buf_.empty()) return;
-    if (status_.ok()) {
-      status_ = out_->WriteAt(offset_ + written_, buf_.data(), buf_.size());
-      fnv_.Update(buf_.data(), buf_.size());
-      written_ += buf_.size();
-    }
-    buf_.clear();
-  }
-
-  AtomicFile* out_;
-  const uint64_t offset_;
-  std::string buf_;
-  Status status_ = Status::OK();
-  Fnv1a64Stream fnv_;
-  uint64_t written_ = 0;
-};
-
-/// Checksums `[offset, offset + bytes)` of the temp file by reading it
-/// back in chunks — node slots are written out of level order, so their
-/// segment digest is only computable after the fact.  Doubles as a
-/// read-back verification of every node write.
-Result<uint64_t> ChecksumRange(const AtomicFile& out, uint64_t offset,
-                               uint64_t bytes) {
-  Fnv1a64Stream fnv;
-  std::vector<char> buf(kStreamBufferBytes);
-  uint64_t done = 0;
-  while (done < bytes) {
-    const uint64_t n = std::min<uint64_t>(buf.size(), bytes - done);
-    STPQ_RETURN_NOT_OK(out.ReadAt(offset + done, buf.data(), n));
-    fnv.Update(buf.data(), static_cast<size_t>(n));
-    done += n;
-  }
-  return fnv.Digest();
-}
-
 // ------------------------------------------------------- survey + plan
 
 struct TableSurvey {
   uint32_t universe = 0;
   uint64_t feature_count = 0;
   uint32_t vocab_terms = 0;
-  uint64_t vocab_bytes = 0;  ///< vocabulary segment payload size
-  uint64_t table_bytes = 0;  ///< feature_table segment payload size
+  TableSizes sizes;
   Rect4 srt_domain = Rect4::Empty();
   Rect2 ir2_domain = Rect2::Empty();
 };
@@ -587,38 +330,41 @@ struct Survey {
   uint64_t object_count = 0;
   uint64_t objects_bytes = 0;
   Rect2 object_domain = Rect2::Empty();
-  uint32_t table_count = 0;
   std::vector<TableSurvey> tables;
 };
 
-/// First pass: counts, serialized segment sizes, and sort domains.  The
-/// domains fold in dataset order, matching the in-memory builders'
-/// ComputeDomain folds bit for bit.
+/// First pass: counts, segment sizes (the record encoders run through
+/// counting writers) and sort domains.  The domains fold the leaf entries'
+/// rects in dataset order, exactly as the in-memory builders'
+/// ComputeDomain does.
 Status RunSurvey(const std::string& dataset_path,
                  const IndexBuildParams& params, Survey* survey) {
   Result<DatasetBinaryScanner> scan_r = DatasetBinaryScanner::Open(dataset_path);
   if (!scan_r.ok()) return scan_r.status();
   DatasetBinaryScanner scan = scan_r.TakeValue();
   survey->object_count = scan.object_count();
-  survey->objects_bytes = 8;
+  SegmentWriter objects;
+  objects.Put(EncodeObjectsHeader, survey->object_count);
+  uint32_t position = 0;
   STPQ_RETURN_NOT_OK(scan.ForEachObject([&](const DataObject& o) {
-    survey->objects_bytes += 4 + 8 + 8 + 4 + o.name.size();
-    survey->object_domain.EnlargePoint({o.pos.x, o.pos.y});
+    objects.Put(EncodeObjectRecord, position++, o);
+    survey->object_domain.Enlarge(PointRect(o.pos));
   }));
+  survey->objects_bytes = objects.bytes();
   Result<uint32_t> tables_r = scan.ReadTableCount();
   if (!tables_r.ok()) return tables_r.status();
-  survey->table_count = tables_r.value();
-  if (survey->table_count > kMaxTables) {
+  if (tables_r.value() > kMaxTables) {
     return Status::InvalidArgument("too many feature tables to persist");
   }
-  survey->tables.resize(survey->table_count);
-  for (uint32_t i = 0; i < survey->table_count; ++i) {
-    TableSurvey& t = survey->tables[i];
-    t.vocab_bytes = 4;
+  survey->tables.resize(tables_r.value());
+  for (TableSurvey& t : survey->tables) {
+    SegmentWriter vocab;
+    vocab.Put(EncodeVocabularyHeader, 0u);  // fixed width; count comes later
     STPQ_RETURN_NOT_OK(scan.ForEachVocabTerm([&](const std::string& term) {
       ++t.vocab_terms;
-      t.vocab_bytes += 4 + term.size();
+      vocab.Put(EncodeVocabTerm, term);
     }));
+    t.sizes.vocabulary = vocab.bytes();
     Result<DatasetBinaryScanner::TableHeader> h = scan.ReadTableHeader();
     if (!h.ok()) return h.status();
     t.universe = h.value().universe;
@@ -626,149 +372,43 @@ Status RunSurvey(const std::string& dataset_path,
     if (t.feature_count > kMaxRecordCount) {
       return Status::InvalidArgument("feature table too large to persist");
     }
-    const uint64_t blocks = (t.universe + 63) / 64;
-    t.table_bytes = 4 + 8;
+    SegmentWriter table;
+    table.Put(EncodeFeatureTableHeader, t.universe, t.feature_count);
+    position = 0;
     const bool srt = params.index_kind == FeatureIndexKind::kSrt;
     STPQ_RETURN_NOT_OK(scan.ForEachFeature(
         t.universe, t.feature_count, [&](const FeatureObject& f) {
-          t.table_bytes += 4 + 8 + 8 + 8 + 4 + 8 * blocks + 4 + f.name.size();
+          table.Put(EncodeFeatureRecord, position, f);
           if (srt) {
-            const HilbertValue hv = EncodeKeywords(f.keywords);
-            t.srt_domain.EnlargePoint(
-                {f.pos.x, f.pos.y, f.score, hv.ToUnitDouble()});
+            t.srt_domain.Enlarge(SrtIndex::LeafEntry(f, position).rect);
           } else {
-            t.ir2_domain.EnlargePoint({f.pos.x, f.pos.y});
+            t.ir2_domain.Enlarge(PointRect(f.pos));
           }
+          ++position;
         }));
+    t.sizes.features = table.bytes();
   }
   return Status::OK();
 }
 
-struct SegmentPlan {
-  uint32_t type = 0;
-  uint32_t ordinal = 0;
-  uint64_t offset = 0;
-  uint64_t bytes = 0;
-  uint64_t first_page = 0;
-  uint64_t slot_count = 0;
-  uint32_t slot_bytes = 0;
-  uint64_t checksum = 0;  // filled during the content pass
-  bool page_aligned = false;
+/// One tree's codec and packing shape, fixed before the content pass.
+template <int D, typename Aug>
+struct TreePlan {
+  TreePlan(const TreeGeometry& geometry, uint32_t page_size, uint64_t count,
+           double fill)
+      : codec(geometry, page_size),
+        layout(ComputePackLayout(count, RTreeOptions{geometry.max_entries},
+                                 fill)) {}
+
+  TreeSegments Segments() const {
+    return MakeTreeSegments(codec.geometry(), codec.slot_bytes(), layout.root,
+                            layout.height, layout.entry_count,
+                            layout.node_count);
+  }
+
+  NodeCodec<D, Aug> codec;
+  PackLayout layout;
 };
-
-constexpr uint64_t kTreeMetaBytes = 36;  // AppendTreeMeta, empty free list
-
-struct BuildPlan {
-  std::vector<SegmentPlan> segments;
-  TreeLayout object_layout;
-  std::vector<TreeLayout> feature_layouts;
-  uint64_t header_bytes = 0;
-  uint64_t file_end = 0;
-  // Catalog positions (segment order is fixed by the in-memory writer).
-  size_t objects_seg = 0;
-  size_t obj_meta_seg = 0;
-  size_t obj_nodes_seg = 0;
-  size_t VocabSeg(uint32_t i) const { return 1 + 2 * size_t{i}; }
-  size_t TableSeg(uint32_t i) const { return 2 + 2 * size_t{i}; }
-  size_t FeatMetaSeg(uint32_t i) const {
-    return obj_nodes_seg + 1 + 2 * size_t{i};
-  }
-  size_t FeatNodesSeg(uint32_t i) const {
-    return obj_nodes_seg + 2 + 2 * size_t{i};
-  }
-};
-
-/// Lays out every segment at its final offset, exactly reproducing the
-/// in-memory writer's catalog order and alignment walk.
-Status ComputePlan(const Survey& survey, const IndexBuildParams& params,
-                   BuildPlan* plan) {
-  const uint32_t page = params.page_size_bytes;
-  const uint32_t T = survey.table_count;
-  auto& segs = plan->segments;
-  segs.reserve(3 + 4 * size_t{T});
-
-  plan->objects_seg = segs.size();
-  segs.push_back({kSegObjects, 0, 0, survey.objects_bytes});
-  for (uint32_t i = 0; i < T; ++i) {
-    segs.push_back({kSegVocabulary, i, 0, survey.tables[i].vocab_bytes});
-    segs.push_back({kSegFeatureTable, i, 0, survey.tables[i].table_bytes});
-  }
-
-  // Object tree geometry.
-  plan->object_layout = ComputeTreeLayout(
-      survey.object_count, FanOutForPage(page, 2, 0), params.fill,
-      EntryBytes(2, 0), page);
-  if (plan->object_layout.node_count > kMaxNodeCount) {
-    return Status::InvalidArgument("object tree too large to persist");
-  }
-  plan->obj_meta_seg = segs.size();
-  segs.push_back({kSegObjectTreeMeta, 0, 0, kTreeMetaBytes});
-  plan->obj_nodes_seg = segs.size();
-  {
-    SegmentPlan nodes{kSegObjectTreeNodes, 0, 0,
-                      plan->object_layout.node_count *
-                          uint64_t{plan->object_layout.slot_bytes}};
-    nodes.first_page = 0;
-    nodes.slot_count = plan->object_layout.node_count;
-    nodes.slot_bytes = plan->object_layout.slot_bytes;
-    nodes.page_aligned = true;
-    segs.push_back(nodes);
-  }
-
-  plan->feature_layouts.resize(T);
-  for (uint32_t i = 0; i < T; ++i) {
-    const TableSurvey& t = survey.tables[i];
-    TreeLayout& layout = plan->feature_layouts[i];
-    switch (params.index_kind) {
-      case FeatureIndexKind::kSrt: {
-        const uint32_t aug_bytes = 8 + 8 * ((t.universe + 63) / 64);
-        layout = ComputeTreeLayout(t.feature_count,
-                                   FanOutForPage(page, 4, aug_bytes),
-                                   params.fill, EntryBytes(4, aug_bytes), page);
-        break;
-      }
-      case FeatureIndexKind::kIr2: {
-        const uint32_t sig_bits =
-            EffectiveIr2SignatureBits(params.signature_bits, t.universe);
-        // Fan-out charges the raw signature bytes; the serialized payload
-        // is word-padded (Ir2AugCodec) — the same split LoadIndexFile uses.
-        const uint32_t fanout_aug = 8 + sig_bits / 8;
-        Ir2AugCodec codec{sig_bits};
-        layout = ComputeTreeLayout(
-            t.feature_count, FanOutForPage(page, 2, fanout_aug), params.fill,
-            EntryBytes(2, codec.payload_bytes()), page);
-        break;
-      }
-    }
-    if (layout.node_count > kMaxNodeCount) {
-      return Status::InvalidArgument("feature tree too large to persist");
-    }
-    segs.push_back({kSegFeatureTreeMeta, i, 0, kTreeMetaBytes});
-    SegmentPlan nodes{kSegFeatureTreeNodes, i, 0,
-                      layout.node_count * uint64_t{layout.slot_bytes}};
-    nodes.first_page = kIndexPageStride * (uint64_t{i} + 1);
-    nodes.slot_count = layout.node_count;
-    nodes.slot_bytes = layout.slot_bytes;
-    nodes.page_aligned = true;
-    segs.push_back(nodes);
-  }
-
-  plan->header_bytes =
-      kSuperblockBytes + segs.size() * kCatalogEntryBytes;
-  uint64_t cursor = plan->header_bytes;
-  for (SegmentPlan& s : segs) {
-    if (s.page_aligned) cursor = AlignUp(cursor, page);
-    s.offset = cursor;
-    cursor += s.bytes;
-  }
-  plan->file_end = plan->header_bytes;
-  for (const SegmentPlan& s : segs) {
-    if (s.bytes > 0) {
-      plan->file_end = std::max(plan->file_end, s.offset + s.bytes);
-    }
-  }
-  return Status::OK();
-}
 
 // -------------------------------------------------------- content pass
 
@@ -789,40 +429,37 @@ std::string RunPrefix(const std::string& index_path,
   return base + ".s" + std::to_string(ordinal);
 }
 
-template <int D, typename Aug, typename Codec>
-void SerializeEntryBlob(const typename RTree<D, Aug>::Entry& e,
-                        const Codec& codec, std::string* out) {
-  out->clear();
-  for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
-  for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
-  PutPod<uint32_t>(out, e.id);
-  codec.Write(out, e.aug);
+/// Encodes a leaf entry into the sorter under its Hilbert sort key.
+template <int D, typename Aug>
+Status Feed(ExternalSorter* sorter, const NodeCodec<D, Aug>& codec,
+            const typename RTree<D, Aug>::Entry& e, const Rect<D>& domain,
+            std::string* blob) {
+  blob->clear();
+  codec.EncodeEntry(e, blob);
+  return sorter->Add(HilbertSortKey<D>(e.rect, domain, kHilbertBitsPerDim),
+                     blob->data());
 }
 
-/// Drains a sorter into a packer, then writes the tree-metadata segment
-/// and back-fills both segments' checksums.
-template <int D, typename Aug, typename Codec>
+/// Drains a sorter through the shared LevelPacker into the node slots of
+/// tree `t`, then writes its metadata and both checksums.
+template <int D, typename Aug>
 Status PackTree(ExternalSorter* sorter, AtomicFile* out,
-                const TreeLayout& layout, const Codec& codec,
-                SegmentPlan* meta_seg, SegmentPlan* nodes_seg) {
-  LevelPacker<D, Aug, Codec> packer(out, nodes_seg->offset, &layout, codec);
-  STPQ_RETURN_NOT_OK(sorter->Drain(
-      [&packer](const char* blob) { return packer.AddLeafBlob(blob); }));
+                const TreePlan<D, Aug>& tree, IndexPlan* plan, uint32_t t) {
+  using Entry = typename RTree<D, Aug>::Entry;
+  TreeWriter<D, Aug> writer(out, tree.codec, plan, t);
+  auto sink = [&writer](NodeId id, uint16_t level, std::vector<Entry>* es) {
+    return writer.WriteNode(id, level, *es);
+  };
+  LevelPacker<D, Aug, decltype(sink)> packer(tree.layout, sink);
+  STPQ_RETURN_NOT_OK(sorter->Drain([&](const char* blob) {
+    ByteReader r(blob, tree.codec.entry_bytes());
+    Entry e;
+    STPQ_CHECK(tree.codec.DecodeEntry(r, &e) &&
+               "bulk-load entry blob decode failed");
+    return packer.Add(std::move(e));
+  }));
   STPQ_RETURN_NOT_OK(packer.Finish());
-
-  std::string meta;
-  AppendTreeMeta(&meta, layout.root, layout.height, layout.entry_count,
-                 static_cast<uint32_t>(layout.node_count), layout.max_entries,
-                 codec.aug_bits(), codec.aug_words(), {});
-  STPQ_CHECK(meta.size() == meta_seg->bytes);
-  STPQ_RETURN_NOT_OK(out->WriteAt(meta_seg->offset, meta.data(), meta.size()));
-  meta_seg->checksum = Fnv1a64(meta.data(), meta.size());
-
-  Result<uint64_t> sum = ChecksumRange(*out, nodes_seg->offset,
-                                       nodes_seg->bytes);
-  if (!sum.ok()) return sum.status();
-  nodes_seg->checksum = sum.value();
-  return Status::OK();
+  return FinishTree(out, plan, t);
 }
 
 }  // namespace
@@ -856,12 +493,40 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   if (survey.object_count > kMaxRecordCount) {
     return Status::InvalidArgument("too many objects to persist");
   }
+  const uint32_t table_count = static_cast<uint32_t>(survey.tables.size());
   stats.objects = survey.object_count;
-  stats.tables = survey.table_count;
+  stats.tables = table_count;
   for (const TableSurvey& t : survey.tables) stats.features += t.feature_count;
 
-  BuildPlan plan;
-  STPQ_RETURN_NOT_OK(ComputePlan(survey, params, &plan));
+  // Plan every tree's geometry and packing, then every segment's offset.
+  const uint32_t page = params.page_size_bytes;
+  const bool srt = params.index_kind == FeatureIndexKind::kSrt;
+  const TreePlan<2, NoAug> object_tree(ObjectIndex::Geometry(page), page,
+                                       survey.object_count, params.fill);
+  if (object_tree.layout.node_count > kMaxNodeCount) {
+    return Status::InvalidArgument("object tree too large to persist");
+  }
+  std::vector<TreePlan<4, SrtAug>> srt_trees;
+  std::vector<TreePlan<2, Ir2Aug>> ir2_trees;
+  std::vector<TableSizes> sizes;
+  std::vector<TreeSegments> trees{object_tree.Segments()};
+  for (const TableSurvey& t : survey.tables) {
+    if (srt) {
+      srt_trees.emplace_back(SrtIndex::Geometry(page, t.universe), page,
+                             t.feature_count, params.fill);
+      trees.push_back(srt_trees.back().Segments());
+    } else {
+      ir2_trees.emplace_back(
+          Ir2Tree::Geometry(page, params.signature_bits, t.universe), page,
+          t.feature_count, params.fill);
+      trees.push_back(ir2_trees.back().Segments());
+    }
+    if (trees.back().slot_count > kMaxNodeCount) {
+      return Status::InvalidArgument("feature tree too large to persist");
+    }
+    sizes.push_back(t.sizes);
+  }
+  IndexPlan plan(page, survey.objects_bytes, sizes, std::move(trees));
 
   Result<AtomicFile> out_r = AtomicFile::Create(index_path);
   if (!out_r.ok()) return out_r.status();
@@ -888,12 +553,11 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // Phase 1: stream the objects segment and pack the object tree.
   {
     STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 1, survey.object_count);
-    SegmentPlan& objects_seg = plan.segments[plan.objects_seg];
-    SegmentWriter seg(&out, objects_seg.offset);
+    SegmentWriter seg(&out, plan.objects().offset);
     ExternalSorter sorter(
-        plan.object_layout.entry_bytes, budget,
+        object_tree.codec.entry_bytes(), budget,
         RunPrefix(index_path, options.temp_dir, sorter_ordinal++));
-    seg.Pod<uint64_t>(survey.object_count);
+    seg.Put(EncodeObjectsHeader, survey.object_count);
     uint64_t position = 0;
     std::string blob;
     Status feed = Status::OK();
@@ -901,25 +565,15 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
       if (!feed.ok()) return;
       // Ids are reassigned to positions, as Engine::Build does before Save.
       const uint32_t id = static_cast<uint32_t>(position++);
-      seg.Pod<uint32_t>(id);
-      seg.Pod(o.pos.x);
-      seg.Pod(o.pos.y);
-      seg.Str(o.name);
-      RTree<2, NoAug>::Entry e{PointRect(o.pos), id, {}};
-      SerializeEntryBlob<2, NoAug>(e, NoAugCodec{}, &blob);
-      feed = sorter.Add(HilbertKeyForRect(e.rect, survey.object_domain),
-                        blob.data());
+      seg.Put(EncodeObjectRecord, id, o);
+      feed = Feed(&sorter, object_tree.codec,
+                  RTree<2, NoAug>::Entry{PointRect(o.pos), id, {}},
+                  survey.object_domain, &blob);
     }));
     STPQ_RETURN_NOT_OK(feed);
     if (position != survey.object_count) return DatasetDrifted(dataset_path);
-    uint64_t written = 0;
-    STPQ_RETURN_NOT_OK(seg.Finish(&written, &objects_seg.checksum));
-    if (written != objects_seg.bytes) return DatasetDrifted(dataset_path);
-
-    STPQ_RETURN_NOT_OK((PackTree<2, NoAug>(
-        &sorter, &out, plan.object_layout, NoAugCodec{},
-        &plan.segments[plan.obj_meta_seg],
-        &plan.segments[plan.obj_nodes_seg])));
+    STPQ_RETURN_NOT_OK(seg.Finish(&plan.objects()));
+    STPQ_RETURN_NOT_OK(PackTree(&sorter, &out, object_tree, &plan, 0));
     account(sorter);
   }
 
@@ -930,24 +584,19 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
     STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 2, stats.features);
     Result<uint32_t> tables_r = scan.ReadTableCount();
     if (!tables_r.ok()) return tables_r.status();
-    if (tables_r.value() != survey.table_count) {
-      return DatasetDrifted(dataset_path);
-    }
-    for (uint32_t i = 0; i < survey.table_count; ++i) {
+    if (tables_r.value() != table_count) return DatasetDrifted(dataset_path);
+    for (uint32_t i = 0; i < table_count; ++i) {
       const TableSurvey& t = survey.tables[i];
 
-      SegmentPlan& vocab_seg = plan.segments[plan.VocabSeg(i)];
-      SegmentWriter vocab(&out, vocab_seg.offset);
-      vocab.Pod<uint32_t>(t.vocab_terms);
+      SegmentWriter vocab(&out, plan.vocabulary(i).offset);
+      vocab.Put(EncodeVocabularyHeader, t.vocab_terms);
       uint32_t terms = 0;
       STPQ_RETURN_NOT_OK(scan.ForEachVocabTerm([&](const std::string& term) {
         ++terms;
-        vocab.Str(term);
+        vocab.Put(EncodeVocabTerm, term);
       }));
       if (terms != t.vocab_terms) return DatasetDrifted(dataset_path);
-      uint64_t written = 0;
-      STPQ_RETURN_NOT_OK(vocab.Finish(&written, &vocab_seg.checksum));
-      if (written != vocab_seg.bytes) return DatasetDrifted(dataset_path);
+      STPQ_RETURN_NOT_OK(vocab.Finish(&plan.vocabulary(i)));
 
       Result<DatasetBinaryScanner::TableHeader> h = scan.ReadTableHeader();
       if (!h.ok()) return h.status();
@@ -956,74 +605,44 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
         return DatasetDrifted(dataset_path);
       }
 
-      SegmentPlan& table_seg = plan.segments[plan.TableSeg(i)];
-      SegmentWriter table(&out, table_seg.offset);
-      table.Pod<uint32_t>(t.universe);
-      table.Pod<uint64_t>(t.feature_count);
-
-      const TreeLayout& layout = plan.feature_layouts[i];
-      ExternalSorter sorter(
-          layout.entry_bytes, budget,
-          RunPrefix(index_path, options.temp_dir, sorter_ordinal++));
-      const bool srt = params.index_kind == FeatureIndexKind::kSrt;
-      SrtAugCodec srt_codec{t.universe};
-      const uint32_t sig_bits =
-          EffectiveIr2SignatureBits(params.signature_bits, t.universe);
-      Ir2AugCodec ir2_codec{sig_bits};
-      const SignatureScheme scheme(sig_bits, params.signature_hashes);
-
-      uint64_t position = 0;
-      std::string blob;
-      Status feed = Status::OK();
-      STPQ_RETURN_NOT_OK(scan.ForEachFeature(
-          t.universe, t.feature_count, [&](const FeatureObject& f) {
-            if (!feed.ok()) return;
-            // FeatureTable reassigns ids to positions on construction.
-            const uint32_t id = static_cast<uint32_t>(position++);
-            table.Pod<uint32_t>(id);
-            table.Pod(f.pos.x);
-            table.Pod(f.pos.y);
-            table.Pod(f.score);
-            const std::vector<uint64_t>& blocks = f.keywords.blocks();
-            table.Pod<uint32_t>(static_cast<uint32_t>(blocks.size()));
-            for (uint64_t b : blocks) table.Pod(b);
-            table.Str(f.name);
-            if (srt) {
-              HilbertValue hv = EncodeKeywords(f.keywords);
-              const std::array<double, 4> p{f.pos.x, f.pos.y, f.score,
-                                            hv.ToUnitDouble()};
-              RTree<4, SrtAug>::Entry e{
-                  Rect4::FromPoint(p), id,
-                  SrtAug{f.score, std::move(hv), f.keywords}};
-              SerializeEntryBlob<4, SrtAug>(e, srt_codec, &blob);
-              feed = sorter.Add(HilbertKeyForRect(e.rect, t.srt_domain),
-                                blob.data());
-            } else {
-              RTree<2, Ir2Aug>::Entry e{
-                  PointRect(f.pos), id,
-                  Ir2Aug{f.score, scheme.SetSignature(f.keywords)}};
-              SerializeEntryBlob<2, Ir2Aug>(e, ir2_codec, &blob);
-              feed = sorter.Add(HilbertKeyForRect(e.rect, t.ir2_domain),
-                                blob.data());
-            }
-          }));
-      STPQ_RETURN_NOT_OK(feed);
-      if (position != t.feature_count) return DatasetDrifted(dataset_path);
-      STPQ_RETURN_NOT_OK(table.Finish(&written, &table_seg.checksum));
-      if (written != table_seg.bytes) return DatasetDrifted(dataset_path);
-
+      SegmentWriter table(&out, plan.table(i).offset);
+      table.Put(EncodeFeatureTableHeader, t.universe, t.feature_count);
+      const auto pack = [&](const auto& tree, const auto& domain,
+                            const auto& leaf_entry) -> Status {
+        ExternalSorter sorter(
+            tree.codec.entry_bytes(), budget,
+            RunPrefix(index_path, options.temp_dir, sorter_ordinal++));
+        uint64_t position = 0;
+        std::string blob;
+        Status feed = Status::OK();
+        STPQ_RETURN_NOT_OK(scan.ForEachFeature(
+            t.universe, t.feature_count, [&](const FeatureObject& f) {
+              if (!feed.ok()) return;
+              // FeatureTable reassigns ids to positions on construction.
+              const uint32_t id = static_cast<uint32_t>(position++);
+              table.Put(EncodeFeatureRecord, id, f);
+              feed = Feed(&sorter, tree.codec, leaf_entry(f, id), domain,
+                          &blob);
+            }));
+        STPQ_RETURN_NOT_OK(feed);
+        if (position != t.feature_count) return DatasetDrifted(dataset_path);
+        STPQ_RETURN_NOT_OK(table.Finish(&plan.table(i)));
+        STPQ_RETURN_NOT_OK(PackTree(&sorter, &out, tree, &plan, i + 1));
+        account(sorter);
+        return Status::OK();
+      };
       if (srt) {
-        STPQ_RETURN_NOT_OK((PackTree<4, SrtAug>(
-            &sorter, &out, layout, srt_codec,
-            &plan.segments[plan.FeatMetaSeg(i)],
-            &plan.segments[plan.FeatNodesSeg(i)])));
+        STPQ_RETURN_NOT_OK(
+            pack(srt_trees[i], t.srt_domain, SrtIndex::LeafEntry));
       } else {
-        STPQ_RETURN_NOT_OK((PackTree<2, Ir2Aug>(
-            &sorter, &out, layout, ir2_codec,
-            &plan.segments[plan.FeatMetaSeg(i)],
-            &plan.segments[plan.FeatNodesSeg(i)])));
+        const SignatureScheme scheme(ir2_trees[i].codec.geometry().aug_bits,
+                                     params.signature_hashes);
+        STPQ_RETURN_NOT_OK(pack(
+            ir2_trees[i], t.ir2_domain,
+            [&scheme](const FeatureObject& f, uint32_t id) {
+              return Ir2Tree::LeafEntry(scheme, f, id);
+            }));
       }
-      account(sorter);
     }
   }
 
@@ -1031,32 +650,10 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // exact file size, durable commit.
   {
     STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 3, 0);
-    std::string header;
-    header.reserve(plan.header_bytes);
-    AppendSuperblock(&header, params.page_size_bytes,
-                     static_cast<uint32_t>(params.index_kind),
-                     static_cast<uint32_t>(params.bulk_load),
-                     params.signature_bits, params.signature_hashes,
-                     params.fill, survey.object_count, survey.table_count,
-                     static_cast<uint32_t>(plan.segments.size()));
-    for (const SegmentPlan& s : plan.segments) {
-      CatalogEntry e;
-      e.type = s.type;
-      e.ordinal = s.ordinal;
-      e.offset = s.offset;
-      e.bytes = s.bytes;
-      e.first_page = s.first_page;
-      e.slot_count = s.slot_count;
-      e.slot_bytes = s.slot_bytes;
-      e.checksum = s.checksum;
-      AppendCatalogEntry(&header, e);
-    }
-    STPQ_CHECK(header.size() == plan.header_bytes);
-    STPQ_RETURN_NOT_OK(out.Truncate(plan.file_end));
-    STPQ_RETURN_NOT_OK(out.WriteAt(0, header.data(), header.size()));
-    STPQ_RETURN_NOT_OK(out.Commit());
+    STPQ_RETURN_NOT_OK(
+        CommitIndexFile(&out, params, survey.object_count, plan));
   }
-  stats.output_bytes = plan.file_end;
+  stats.output_bytes = plan.file_end();
 
   MetricsRegistry& metrics = MetricsRegistry::Global();
   metrics

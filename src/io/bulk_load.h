@@ -5,23 +5,23 @@
 // record and every tree node before serializing; this loader never does.
 // It streams the dataset twice:
 //
-//   survey pass    counts, name/term byte totals and the spatial domains —
-//                  enough to derive every tree's geometry (fan-out, nodes
-//                  per level, node ids) and the complete segment layout
-//                  up front.
+//   survey pass    counts, segment sizes (the record encoders run through
+//                  counting writers) and the sort domains — enough to fix
+//                  every tree's geometry, shape and node ids and the
+//                  complete segment plan up front.
 //   content pass   streams the record segments into place, feeding each
-//                  tree's leaf entries through an external merge sort
-//                  keyed by the same Hilbert order the in-memory builder
-//                  uses, then packs leaf and internal node levels
-//                  bottom-up, writing each fixed-width slot as soon as it
-//                  closes.  Propagated augmentations (max score, OR-folded
-//                  Hilbert keyword summaries, IR2 signatures) are computed
-//                  on the fly as each level closes.
+//                  tree's leaf entries through an external merge sort on
+//                  the Hilbert sort key, then through the LevelPacker that
+//                  RTree::BulkLoadSorted also drives; each node slot is
+//                  written the moment it closes.
 //
-// Contract: the output is byte-identical to WriteIndexFile over the same
-// dataset and parameters — same superblock, catalog, segment bytes, node
-// ids and checksums — so golden I/O counts and query results match the
-// in-memory build exactly (tests/bulk_load_test.cc pins this).
+// One module decides every layout choice (io/index_format.h for the
+// bytes, rtree/bulk_load.h for the packing, the index types for their
+// geometry), so the output is byte-identical to Engine::Build +
+// Engine::Save by construction: same superblock, catalog, segment bytes,
+// node ids and checksums, hence the same golden I/O counts and query
+// results.  tests/bulk_load_test.cc checks the identity;
+// tests/format_golden_test.cc pins the bytes.
 #ifndef STPQ_IO_BULK_LOAD_H_
 #define STPQ_IO_BULK_LOAD_H_
 

@@ -12,7 +12,6 @@
 #include <string_view>
 #include <utility>
 
-#include "hilbert/keyword_hilbert.h"
 #include "io/atomic_file.h"
 #include "io/index_format.h"
 #include "util/logging.h"
@@ -159,16 +158,7 @@ Status ParseHeader(const IndexFileHandle& file, Superblock* sb,
   catalog->reserve(sb->segment_count);
   for (uint32_t i = 0; i < sb->segment_count; ++i) {
     CatalogEntry e;
-    uint32_t reserved = 0;
-    c.Pod(&e.type);
-    c.Pod(&e.ordinal);
-    c.Pod(&e.offset);
-    c.Pod(&e.bytes);
-    c.Pod(&e.first_page);
-    c.Pod(&e.slot_count);
-    c.Pod(&e.slot_bytes);
-    c.Pod(&reserved);
-    if (!c.Pod(&e.checksum)) {
+    if (!c.Pod(&e)) {
       return Status::IoError("truncated index catalog: " + path);
     }
     if (e.offset > file.size() || e.bytes > file.size() - e.offset) {
@@ -284,50 +274,6 @@ Status ParseFeatureTable(std::string_view sv, FeatureTable* out) {
   return Status::OK();
 }
 
-// ------------------------------------------------------ tree serializer
-
-/// Serializes tree metadata + the node array.  Node records are laid out
-/// in fixed-width slots (slot index == NodeId) whose width is the
-/// page-aligned worst-case node size, so the reader and the FilePageStore
-/// address node i at offset i * slot_bytes.
-template <int D, typename Aug, typename Codec>
-Status SerializeTree(const RTree<D, Aug>& tree, const Codec& codec,
-                     uint32_t page_size, std::string* meta, std::string* nodes,
-                     uint64_t* slot_count, uint32_t* slot_bytes_out) {
-  const uint32_t entry_bytes = EntryBytes(D, codec.payload_bytes());
-  const uint32_t slot_bytes =
-      SlotBytesFor(tree.options().max_entries, entry_bytes, page_size);
-
-  std::vector<uint32_t> free_nodes(tree.free_nodes().begin(),
-                                   tree.free_nodes().end());
-  AppendTreeMeta(meta, tree.root_id(), tree.height(), tree.size(),
-                 tree.node_count(), tree.options().max_entries,
-                 codec.aug_bits(), codec.aug_words(), free_nodes);
-
-  nodes->reserve(uint64_t{tree.node_count()} * slot_bytes);
-  for (const auto& node : tree.nodes()) {
-    const size_t start = nodes->size();
-    PutPod<uint16_t>(nodes, node.level);
-    PutPod<uint16_t>(nodes, 0);
-    PutPod<uint32_t>(nodes, static_cast<uint32_t>(node.entries.size()));
-    for (const auto& e : node.entries) {
-      for (int d = 0; d < D; ++d) PutPod(nodes, e.rect.lo[d]);
-      for (int d = 0; d < D; ++d) PutPod(nodes, e.rect.hi[d]);
-      PutPod<uint32_t>(nodes, e.id);
-      codec.Write(nodes, e.aug);
-    }
-    if (nodes->size() - start > slot_bytes) {
-      return Status::Internal("index node overflows its slot: " +
-                              std::to_string(nodes->size() - start) + " > " +
-                              std::to_string(slot_bytes) + " bytes");
-    }
-    nodes->resize(start + slot_bytes);  // zero-pad to the slot boundary
-  }
-  *slot_count = tree.node_count();
-  *slot_bytes_out = slot_bytes;
-  return Status::OK();
-}
-
 // --------------------------------------------------------- tree reader
 //
 // Split in two: the metadata parse + one streaming verification pass over
@@ -336,11 +282,13 @@ Status SerializeTree(const RTree<D, Aug>& tree, const Codec& codec,
 // records themselves stay on disk behind a per-node decoder closure.
 
 /// Parses the tree-metadata payload and cross-checks it against the node
-/// segment's catalog entry.  Fills everything in `out` except `nodes`.
-template <int D, typename Aug, typename Codec>
+/// segment's catalog entry and the geometry the superblock parameters
+/// derive.  Fills everything in `out` except the decoder.
+template <int D, typename Aug>
 Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
-                     const Codec& codec, uint32_t expected_max_entries,
-                     uint32_t page_size, RestoredTreeData<D, Aug>* out) {
+                     const NodeCodec<D, Aug>& codec,
+                     RestoredTreeData<D, Aug>* out) {
+  const TreeGeometry& g = codec.geometry();
   ByteReader m(meta.data(), meta.size());
   uint32_t root = 0, height = 0, node_count = 0, max_entries = 0;
   uint32_t aug_bits = 0, aug_words = 0, free_count = 0;
@@ -350,18 +298,16 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
       !m.Pod(&aug_words) || !m.Pod(&free_count)) {
     return Status::Corruption("tree metadata segment too short");
   }
-  if (aug_bits != codec.aug_bits() || aug_words != codec.aug_words()) {
+  if (aug_bits != g.aug_bits || aug_words != g.aug_words) {
     return Status::Corruption(
         "augmentation layout mismatch: file says " + std::to_string(aug_bits) +
         " bits / " + std::to_string(aug_words) + " words, parameters derive " +
-        std::to_string(codec.aug_bits()) + " / " +
-        std::to_string(codec.aug_words()));
+        std::to_string(g.aug_bits) + " / " + std::to_string(g.aug_words));
   }
-  if (max_entries != expected_max_entries) {
+  if (max_entries != g.max_entries) {
     return Status::Corruption(
         "node fan-out mismatch: file says " + std::to_string(max_entries) +
-        ", page-size parameters derive " +
-        std::to_string(expected_max_entries));
+        ", page-size parameters derive " + std::to_string(g.max_entries));
   }
   if (node_count > kMaxNodeCount || free_count > node_count) {
     return Status::Corruption("implausible tree node counts");
@@ -377,14 +323,12 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
   // The lazy decoder trusts the catalog's fixed slot width, so it must
   // equal the width the page-size parameters derive (the catalog itself
   // is not checksummed).
-  const uint32_t expected_slot_bytes = SlotBytesFor(
-      max_entries, EntryBytes(D, codec.payload_bytes()), page_size);
-  if (nodes_entry.slot_bytes != expected_slot_bytes) {
+  if (nodes_entry.slot_bytes != codec.slot_bytes()) {
     return Status::Corruption(
         "node slot width mismatch: catalog says " +
         std::to_string(nodes_entry.slot_bytes) +
         " bytes, page-size parameters derive " +
-        std::to_string(expected_slot_bytes));
+        std::to_string(codec.slot_bytes()));
   }
   if (root != kInvalidNodeId && root >= node_count) {
     return Status::Corruption("tree root id out of range");
@@ -448,58 +392,72 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
 /// entry fits the slot), and the codecs read exact widths — so a failure
 /// here means the file changed underneath us, which is a crash, not a
 /// Status.
-template <int D, typename Aug, typename Codec>
+template <int D, typename Aug>
 std::function<void(NodeId, typename RTree<D, Aug>::Node*)> MakeNodeDecoder(
     std::shared_ptr<IndexFileHandle> file, const CatalogEntry& entry,
-    Codec codec) {
+    const NodeCodec<D, Aug>& codec) {
   const uint64_t offset = entry.offset;
-  const uint32_t slot_bytes = entry.slot_bytes;
-  return [file = std::move(file), offset, slot_bytes,
+  return [file = std::move(file), offset,
           codec](NodeId id, typename RTree<D, Aug>::Node* node) {
-    std::vector<char> buf(slot_bytes);
-    const Status read =
-        file->PreadExact(offset + uint64_t{id} * slot_bytes, buf.data(),
-                         slot_bytes);
+    std::vector<char> buf(codec.slot_bytes());
+    const Status read = file->PreadExact(
+        offset + uint64_t{id} * buf.size(), buf.data(), buf.size());
     STPQ_CHECK(read.ok() && "index node slot read failed");
-    ByteReader r(buf.data(), slot_bytes);
-    uint16_t level = 0, reserved = 0;
-    uint32_t count = 0;
-    STPQ_CHECK(r.Pod(&level) && r.Pod(&reserved) && r.Pod(&count));
-    node->level = level;
-    node->entries.reserve(count);
-    for (uint32_t j = 0; j < count; ++j) {
-      typename RTree<D, Aug>::Entry e;
-      bool ok = true;
-      for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.lo[d]);
-      for (int d = 0; d < D && ok; ++d) ok = r.Pod(&e.rect.hi[d]);
-      ok = ok && r.Pod(&e.id) && codec.Read(r, &e.aug);
-      STPQ_CHECK(ok && "index node entry decode failed after verification");
-      node->entries.push_back(std::move(e));
-    }
+    STPQ_CHECK(codec.DecodeSlot(buf.data(), node) &&
+               "index node decode failed after verification");
   };
 }
 
-/// Eagerly verifies one tree (meta + node segment) and wires up its lazy
-/// restore payload.
-template <int D, typename Aug, typename Codec>
+/// Eagerly verifies tree t (0: the object tree, i + 1: the feature tree
+/// of table i), wires up its lazy restore payload and maps its node
+/// segment into the page-id namespace.
+template <int D, typename Aug>
 Status LoadTree(const std::shared_ptr<IndexFileHandle>& file,
-                const std::vector<CatalogEntry>& catalog, uint32_t meta_type,
-                uint32_t nodes_type, uint32_t ordinal, const Codec& codec,
-                uint32_t expected_max_entries, uint32_t page_size,
-                RestoredTreeData<D, Aug>* out,
-                const CatalogEntry** nodes_entry_out) {
+                const std::vector<CatalogEntry>& catalog, uint32_t t,
+                const NodeCodec<D, Aug>& codec, RestoredTreeData<D, Aug>* out,
+                std::vector<FilePageStore::Extent>* extents) {
+  const uint32_t meta_type =
+      t == 0 ? kSegObjectTreeMeta : kSegFeatureTreeMeta;
+  const uint32_t ordinal = t == 0 ? 0 : t - 1;
   Result<std::string> meta = VerifiedSegment(*file, catalog, meta_type,
                                              ordinal);
   if (!meta.ok()) return meta.status();
-  const CatalogEntry* entry = FindEntry(catalog, nodes_type, ordinal);
-  if (entry == nullptr) return MissingSegment(nodes_type, ordinal);
-  STPQ_RETURN_NOT_OK((ParseTreeMeta<D, Aug>(meta.value(), *entry, codec,
-                                            expected_max_entries, page_size,
-                                            out)));
-  STPQ_RETURN_NOT_OK(VerifyNodeSegment(*file, *entry, expected_max_entries));
-  out->decoder = MakeNodeDecoder<D, Aug>(file, *entry, codec);
-  *nodes_entry_out = entry;
+  const CatalogEntry* entry = FindEntry(catalog, meta_type + 1, ordinal);
+  if (entry == nullptr) return MissingSegment(meta_type + 1, ordinal);
+  STPQ_RETURN_NOT_OK(ParseTreeMeta(meta.value(), *entry, codec, out));
+  STPQ_RETURN_NOT_OK(
+      VerifyNodeSegment(*file, *entry, codec.geometry().max_entries));
+  if (entry->first_page != kIndexPageStride * t) {
+    return Status::Corruption("node segment '" +
+                              std::string(SegmentName(entry->type)) + "' #" +
+                              std::to_string(ordinal) +
+                              " has the wrong page-id base");
+  }
+  if (entry->slot_count > 0) {
+    extents->push_back(FilePageStore::Extent{
+        entry->first_page, entry->slot_count, entry->offset,
+        entry->slot_bytes});
+  }
+  out->decoder = MakeNodeDecoder(file, *entry, codec);
   return Status::OK();
+}
+
+/// Writes one in-memory tree's segments: every node slot in id order, free
+/// ones included (empty), then the metadata.
+template <int D, typename Aug>
+Status WriteTree(AtomicFile* out, const RTree<D, Aug>& tree,
+                 const NodeCodec<D, Aug>& codec, IndexPlan* plan,
+                 uint32_t t) {
+  if (tree.options().max_entries != codec.geometry().max_entries) {
+    return Status::InvalidArgument(
+        "index tree fan-out does not match the write parameters");
+  }
+  TreeWriter<D, Aug> writer(out, codec, plan, t);
+  const auto& all = tree.nodes();
+  for (NodeId id = 0; id < all.size(); ++id) {
+    STPQ_RETURN_NOT_OK(writer.WriteNode(id, all[id].level, all[id].entries));
+  }
+  return FinishTree(out, plan, t);
 }
 
 }  // namespace
@@ -522,171 +480,115 @@ Status WriteIndexFile(const std::string& path,
   if (num_tables > kMaxTables) {
     return Status::InvalidArgument("too many feature tables to persist");
   }
-  const uint32_t page_size = request.params.page_size_bytes;
+  const IndexBuildParams& params = request.params;
+  const uint32_t page_size = params.page_size_bytes;
   if (page_size == 0) {
     return Status::InvalidArgument("page_size_bytes must be nonzero");
   }
+  const bool srt = params.index_kind == FeatureIndexKind::kSrt;
+  for (size_t i = 0; i < num_tables; ++i) {
+    const FeatureIndex* index = request.feature_indexes[i];
+    if (srt ? dynamic_cast<const SrtIndex*>(index) == nullptr
+            : dynamic_cast<const Ir2Tree*>(index) == nullptr) {
+      return Status::InvalidArgument(
+          "feature index " + std::to_string(i) + " is not an " +
+          (srt ? "SrtIndex but params say kind=srt"
+               : "Ir2Tree but params say kind=ir2"));
+    }
+  }
 
-  struct SegmentBlob {
-    uint32_t type = 0;
-    uint32_t ordinal = 0;
-    std::string payload;
-    uint64_t first_page = 0;
-    uint64_t slot_count = 0;
-    uint32_t slot_bytes = 0;
-    bool page_aligned = false;
-    uint64_t offset = 0;  // assigned during layout
-  };
-  std::vector<SegmentBlob> segments;
-  segments.reserve(3 + 4 * num_tables);
-
-  {
-    SegmentBlob s;
-    s.type = kSegObjects;
-    PutPod<uint64_t>(&s.payload, request.objects->size());
+  // Record segments: one content function each, run once through a
+  // counting writer to size the plan and once to write.
+  const auto objects = [&](SegmentWriter* w) {
+    w->Put(EncodeObjectsHeader, uint64_t{request.objects->size()});
     for (const DataObject& o : *request.objects) {
-      PutPod(&s.payload, o.id);
-      PutPod(&s.payload, o.pos.x);
-      PutPod(&s.payload, o.pos.y);
-      PutString(&s.payload, o.name);
+      w->Put(EncodeObjectRecord, o.id, o);
     }
-    segments.push_back(std::move(s));
-  }
-
-  for (size_t i = 0; i < num_tables; ++i) {
+  };
+  const auto vocabulary = [&](uint32_t i, SegmentWriter* w) {
     const Vocabulary& vocab = (*request.vocabularies)[i];
-    SegmentBlob v;
-    v.type = kSegVocabulary;
-    v.ordinal = static_cast<uint32_t>(i);
-    PutPod<uint32_t>(&v.payload, vocab.size());
+    w->Put(EncodeVocabularyHeader, vocab.size());
     for (uint32_t t = 0; t < vocab.size(); ++t) {
-      PutString(&v.payload, vocab.Term(t));
+      w->Put(EncodeVocabTerm, vocab.Term(t));
     }
-    segments.push_back(std::move(v));
-
+  };
+  const auto features = [&](uint32_t i, SegmentWriter* w) {
     const FeatureTable& table = (*request.feature_tables)[i];
-    SegmentBlob s;
-    s.type = kSegFeatureTable;
-    s.ordinal = static_cast<uint32_t>(i);
-    PutPod<uint32_t>(&s.payload, table.universe_size());
-    PutPod<uint64_t>(&s.payload, table.size());
+    w->Put(EncodeFeatureTableHeader, table.universe_size(),
+           uint64_t{table.size()});
     for (const FeatureObject& f : table.All()) {
-      PutPod(&s.payload, f.id);
-      PutPod(&s.payload, f.pos.x);
-      PutPod(&s.payload, f.pos.y);
-      PutPod(&s.payload, f.score);
-      const std::vector<uint64_t>& blocks = f.keywords.blocks();
-      PutPod<uint32_t>(&s.payload, static_cast<uint32_t>(blocks.size()));
-      for (uint64_t b : blocks) PutPod(&s.payload, b);
-      PutString(&s.payload, f.name);
+      w->Put(EncodeFeatureRecord, f.id, f);
     }
-    segments.push_back(std::move(s));
-  }
+  };
+  const auto measure = [](const auto& content) {
+    SegmentWriter counter;
+    content(&counter);
+    return counter.bytes();
+  };
 
-  {
-    SegmentBlob meta, nodes;
-    meta.type = kSegObjectTreeMeta;
-    nodes.type = kSegObjectTreeNodes;
-    nodes.page_aligned = true;
-    nodes.first_page = 0;
-    STPQ_RETURN_NOT_OK((SerializeTree<2, NoAug>(
-        request.object_index->tree(), NoAugCodec{}, page_size, &meta.payload,
-        &nodes.payload, &nodes.slot_count, &nodes.slot_bytes)));
-    segments.push_back(std::move(meta));
-    segments.push_back(std::move(nodes));
-  }
-
-  for (size_t i = 0; i < num_tables; ++i) {
-    SegmentBlob meta, nodes;
-    meta.type = kSegFeatureTreeMeta;
-    meta.ordinal = static_cast<uint32_t>(i);
-    nodes.type = kSegFeatureTreeNodes;
-    nodes.ordinal = static_cast<uint32_t>(i);
-    nodes.page_aligned = true;
-    nodes.first_page = kIndexPageStride * (i + 1);
-    switch (request.params.index_kind) {
-      case FeatureIndexKind::kSrt: {
-        const auto* srt =
-            dynamic_cast<const SrtIndex*>(request.feature_indexes[i]);
-        if (srt == nullptr) {
-          return Status::InvalidArgument(
-              "feature index " + std::to_string(i) +
-              " is not an SrtIndex but params say kind=srt");
-        }
-        SrtAugCodec codec{(*request.feature_tables)[i].universe_size()};
-        STPQ_RETURN_NOT_OK((SerializeTree<4, SrtAug>(
-            srt->tree(), codec, page_size, &meta.payload, &nodes.payload,
-            &nodes.slot_count, &nodes.slot_bytes)));
-        break;
-      }
-      case FeatureIndexKind::kIr2: {
-        const auto* ir2 =
-            dynamic_cast<const Ir2Tree*>(request.feature_indexes[i]);
-        if (ir2 == nullptr) {
-          return Status::InvalidArgument(
-              "feature index " + std::to_string(i) +
-              " is not an Ir2Tree but params say kind=ir2");
-        }
-        Ir2AugCodec codec{ir2->scheme().signature_bits()};
-        STPQ_RETURN_NOT_OK((SerializeTree<2, Ir2Aug>(
-            ir2->tree(), codec, page_size, &meta.payload, &nodes.payload,
-            &nodes.slot_count, &nodes.slot_bytes)));
-        break;
-      }
+  // Calls fn(tree, codec) on tree t: 0 is the object tree, t = i + 1 the
+  // feature index of table i.
+  const auto visit_tree = [&](uint32_t t, const auto& fn) {
+    if (t == 0) {
+      return fn(request.object_index->tree(),
+                NodeCodec<2, NoAug>(ObjectIndex::Geometry(page_size),
+                                    page_size));
     }
-    segments.push_back(std::move(meta));
-    segments.push_back(std::move(nodes));
-  }
+    const uint32_t universe = (*request.feature_tables)[t - 1].universe_size();
+    const FeatureIndex* index = request.feature_indexes[t - 1];
+    if (srt) {
+      return fn(static_cast<const SrtIndex*>(index)->tree(),
+                NodeCodec<4, SrtAug>(SrtIndex::Geometry(page_size, universe),
+                                     page_size));
+    }
+    return fn(static_cast<const Ir2Tree*>(index)->tree(),
+              NodeCodec<2, Ir2Aug>(Ir2Tree::Geometry(page_size,
+                                                     params.signature_bits,
+                                                     universe),
+                                   page_size));
+  };
 
-  // Layout: header, then segments in catalog order; node segments aligned
-  // to the page size so slot offsets are page offsets.
-  const uint64_t header_bytes =
-      kSuperblockBytes + segments.size() * kCatalogEntryBytes;
-  uint64_t cursor = header_bytes;
-  for (SegmentBlob& s : segments) {
-    if (s.page_aligned) cursor = AlignUp(cursor, page_size);
-    s.offset = cursor;
-    cursor += s.payload.size();
+  std::vector<TableSizes> sizes(num_tables);
+  for (uint32_t i = 0; i < num_tables; ++i) {
+    sizes[i].vocabulary = measure([&](SegmentWriter* w) { vocabulary(i, w); });
+    sizes[i].features = measure([&](SegmentWriter* w) { features(i, w); });
   }
-
-  std::string header;
-  header.reserve(header_bytes);
-  AppendSuperblock(&header, page_size,
-                   static_cast<uint32_t>(request.params.index_kind),
-                   static_cast<uint32_t>(request.params.bulk_load),
-                   request.params.signature_bits,
-                   request.params.signature_hashes, request.params.fill,
-                   request.objects->size(), static_cast<uint32_t>(num_tables),
-                   static_cast<uint32_t>(segments.size()));
-  for (const SegmentBlob& s : segments) {
-    CatalogEntry e;
-    e.type = s.type;
-    e.ordinal = s.ordinal;
-    e.offset = s.offset;
-    e.bytes = s.payload.size();
-    e.first_page = s.first_page;
-    e.slot_count = s.slot_count;
-    e.slot_bytes = s.slot_bytes;
-    e.checksum = Fnv1a64(s.payload.data(), s.payload.size());
-    AppendCatalogEntry(&header, e);
+  std::vector<TreeSegments> trees;
+  for (uint32_t t = 0; t <= num_tables; ++t) {
+    trees.push_back(visit_tree(t, [](const auto& tree, const auto& codec) {
+      return MakeTreeSegments(codec.geometry(), codec.slot_bytes(),
+                              tree.root_id(), tree.height(), tree.size(),
+                              tree.node_count(), tree.free_nodes());
+    }));
   }
+  IndexPlan plan(page_size, measure(objects), sizes, std::move(trees));
 
-  // Crash-safe publish: assemble the whole image in `<path>.tmp`, fsync
-  // it, then atomically rename over the destination.  A crash or failure
-  // at any point leaves the previous index untouched.
+  // Crash-safe publish: stream every segment into `<path>.tmp`, fsync it,
+  // then atomically rename over the destination.  A crash or failure at
+  // any point leaves the previous index untouched.
   Result<AtomicFile> out_r = AtomicFile::Create(path);
   if (!out_r.ok()) return out_r.status();
   AtomicFile out = out_r.TakeValue();
-  STPQ_RETURN_NOT_OK(out.WriteAt(0, header.data(), header.size()));
-  uint64_t file_end = header.size();
-  for (const SegmentBlob& s : segments) {
-    if (s.payload.empty()) continue;  // empty segments do not extend the file
-    STPQ_RETURN_NOT_OK(
-        out.WriteAt(s.offset, s.payload.data(), s.payload.size()));
-    file_end = std::max(file_end, s.offset + s.payload.size());
+  const auto write = [&](CatalogEntry* seg, const auto& content) {
+    SegmentWriter w(&out, seg->offset);
+    content(&w);
+    return w.Finish(seg);
+  };
+  STPQ_RETURN_NOT_OK(write(&plan.objects(), objects));
+  for (uint32_t i = 0; i < num_tables; ++i) {
+    STPQ_RETURN_NOT_OK(write(&plan.vocabulary(i), [&](SegmentWriter* w) {
+      vocabulary(i, w);
+    }));
+    STPQ_RETURN_NOT_OK(write(&plan.table(i), [&](SegmentWriter* w) {
+      features(i, w);
+    }));
   }
-  STPQ_RETURN_NOT_OK(out.Truncate(file_end));
-  return out.Commit();
+  for (uint32_t t = 0; t <= num_tables; ++t) {
+    STPQ_RETURN_NOT_OK(visit_tree(t, [&](const auto& tree, const auto& codec) {
+      return WriteTree(&out, tree, codec, &plan, t);
+    }));
+  }
+  return CommitIndexFile(&out, params, request.objects->size(), plan);
 }
 
 // ---------------------------------------------------------------- reader
@@ -721,59 +623,28 @@ Result<LoadedIndex> LoadIndexFile(const std::string& path) {
     STPQ_RETURN_NOT_OK(ParseFeatureTable(tv.value(), &out.feature_tables[i]));
   }
 
-  // Object tree.
-  {
-    const CatalogEntry* entry = nullptr;
-    STPQ_RETURN_NOT_OK((LoadTree<2, NoAug>(
-        file, catalog, kSegObjectTreeMeta, kSegObjectTreeNodes, 0,
-        NoAugCodec{}, FanOutForPage(sb.params.page_size_bytes, 2, 0),
-        sb.params.page_size_bytes, &out.object_tree, &entry)));
-    if (entry->slot_count > 0) {
-      out.extents.push_back(FilePageStore::Extent{
-          entry->first_page, entry->slot_count, entry->offset,
-          entry->slot_bytes});
-    }
-  }
-
-  // Feature trees, one per table, matching the persisted index kind.
+  // The object tree, then one feature tree per table matching the
+  // persisted index kind.
+  const uint32_t page_size = sb.params.page_size_bytes;
+  STPQ_RETURN_NOT_OK(LoadTree(
+      file, catalog, 0,
+      NodeCodec<2, NoAug>(ObjectIndex::Geometry(page_size), page_size),
+      &out.object_tree, &out.extents));
   for (uint32_t i = 0; i < sb.table_count; ++i) {
     const uint32_t universe = out.feature_tables[i].universe_size();
-    const CatalogEntry* entry = nullptr;
-    switch (sb.params.index_kind) {
-      case FeatureIndexKind::kSrt: {
-        SrtAugCodec codec{universe};
-        RestoredTreeData<4, SrtAug> tree;
-        const uint32_t aug_bytes = 8 + 8 * ((universe + 63) / 64);
-        STPQ_RETURN_NOT_OK((LoadTree<4, SrtAug>(
-            file, catalog, kSegFeatureTreeMeta, kSegFeatureTreeNodes, i,
-            codec, FanOutForPage(sb.params.page_size_bytes, 4, aug_bytes),
-            sb.params.page_size_bytes, &tree, &entry)));
-        out.srt_trees.push_back(std::move(tree));
-        break;
-      }
-      case FeatureIndexKind::kIr2: {
-        const uint32_t sig_bits =
-            EffectiveIr2SignatureBits(sb.params.signature_bits, universe);
-        Ir2AugCodec codec{sig_bits};
-        RestoredTreeData<2, Ir2Aug> tree;
-        const uint32_t aug_bytes = 8 + sig_bits / 8;
-        STPQ_RETURN_NOT_OK((LoadTree<2, Ir2Aug>(
-            file, catalog, kSegFeatureTreeMeta, kSegFeatureTreeNodes, i,
-            codec, FanOutForPage(sb.params.page_size_bytes, 2, aug_bytes),
-            sb.params.page_size_bytes, &tree, &entry)));
-        out.ir2_trees.push_back(std::move(tree));
-        break;
-      }
-    }
-    if (entry->first_page != kIndexPageStride * (uint64_t{i} + 1)) {
-      return Status::Corruption("feature node segment " + std::to_string(i) +
-                                " has the wrong page-id base");
-    }
-    if (entry->slot_count > 0) {
-      out.extents.push_back(FilePageStore::Extent{
-          entry->first_page, entry->slot_count, entry->offset,
-          entry->slot_bytes});
-    }
+    STPQ_RETURN_NOT_OK(
+        sb.params.index_kind == FeatureIndexKind::kSrt
+            ? LoadTree(file, catalog, i + 1,
+                       NodeCodec<4, SrtAug>(
+                           SrtIndex::Geometry(page_size, universe), page_size),
+                       &out.srt_trees.emplace_back(), &out.extents)
+            : LoadTree(file, catalog, i + 1,
+                       NodeCodec<2, Ir2Aug>(
+                           Ir2Tree::Geometry(page_size,
+                                             sb.params.signature_bits,
+                                             universe),
+                           page_size),
+                       &out.ir2_trees.emplace_back(), &out.extents));
   }
   return out;
 }

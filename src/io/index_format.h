@@ -1,24 +1,41 @@
-// On-disk .stpqx format primitives shared by the in-memory writer/reader
-// (io/index_file.cc) and the external-memory bulk loader (io/bulk_load.cc).
+// The .stpqx format: one module decides every byte of an index file.
 //
-// Everything here is layout: magic numbers, segment naming, checksums,
-// byte-buffer serializers, the fixed-width node-slot geometry, and the
-// per-index augmentation codecs.  Both writers must agree on these bit for
-// bit — the external bulk loader's contract is that its output is
-// byte-identical to Build + Save — so the definitions live in one place.
+// Both writers — WriteIndexFile (io/index_file.cc) over in-memory indexes
+// and the external bulk loader (io/bulk_load.cc) over a .stpq dataset —
+// and the reader are thin drivers over the pieces here:
+//
+//   codec     AugCodec / NodeCodec: the entry and fixed-width slot layout,
+//             encoded and decoded in one place each;
+//   records   one encoder per record-segment row and header;
+//   plan      IndexPlan: catalog order, alignment, offsets and file end;
+//   writers   SegmentWriter (streaming record segments), TreeWriter (node
+//             slots in any order + tree metadata, one checksum rule), and
+//             CommitIndexFile, the one function that assembles the
+//             superblock and catalog.
+//
+// Tree geometry (fan-out, augmentation widths) belongs to the index types
+// (ObjectIndex/SrtIndex/Ir2Tree::Geometry) and the packing to
+// rtree/bulk_load.h.  Because the writers share every layout decision,
+// their outputs agree by construction; tests/format_golden_test.cc pins
+// the bytes themselves.
 #ifndef STPQ_IO_INDEX_FORMAT_H_
 #define STPQ_IO_INDEX_FORMAT_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "hilbert/keyword_hilbert.h"
+#include "index/feature.h"
 #include "index/ir2_tree.h"
 #include "index/srt_index.h"
+#include "io/atomic_file.h"
+#include "io/index_file.h"
 #include "rtree/rtree.h"
+#include "util/result.h"
+#include "util/status.h"
 
 namespace stpq {
 namespace index_format {
@@ -47,34 +64,7 @@ enum SegmentType : uint32_t {
   kSegFeatureTreeNodes = 6,
 };
 
-inline const char* SegmentName(uint32_t type) {
-  switch (type) {
-    case kSegObjects:
-      return "objects";
-    case kSegVocabulary:
-      return "vocabulary";
-    case kSegFeatureTable:
-      return "feature_table";
-    case kSegObjectTreeMeta:
-      return "object_tree_meta";
-    case kSegObjectTreeNodes:
-      return "object_tree_nodes";
-    case kSegFeatureTreeMeta:
-      return "feature_tree_meta";
-    case kSegFeatureTreeNodes:
-      return "feature_tree_nodes";
-  }
-  return "unknown";
-}
-
-inline uint64_t Fnv1a64(const char* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
+const char* SegmentName(uint32_t type);
 
 /// Incremental FNV-1a64: feeding a segment through Update in any chunking
 /// yields the same digest as one Fnv1a64 call over the whole payload.
@@ -94,6 +84,12 @@ class Fnv1a64Stream {
   uint64_t h_ = 1469598103934665603ULL;
 };
 
+inline uint64_t Fnv1a64(const char* data, size_t n) {
+  Fnv1a64Stream fnv;
+  fnv.Update(data, n);
+  return fnv.Digest();
+}
+
 inline uint64_t AlignUp(uint64_t v, uint64_t align) {
   return (v + align - 1) / align * align;
 }
@@ -107,6 +103,14 @@ void PutPod(std::string* out, const T& v) {
 inline void PutString(std::string* out, const std::string& s) {
   PutPod<uint32_t>(out, static_cast<uint32_t>(s.size()));
   out->append(s);
+}
+
+/// Appends exactly `n` words: `words` zero-padded or cut to that width.
+inline void PutWords(std::string* out, const std::vector<uint64_t>& words,
+                     uint32_t n) {
+  for (uint32_t w = 0; w < n; ++w) {
+    PutPod<uint64_t>(out, w < words.size() ? words[w] : 0);
+  }
 }
 
 /// Bounds-checked reader over one segment's bytes.
@@ -131,6 +135,16 @@ class ByteReader {
     return true;
   }
 
+  /// Reads exactly `n` words, keeping those that fit in `words`.
+  bool Words(uint32_t n, std::vector<uint64_t>* words) {
+    for (uint32_t w = 0; w < n; ++w) {
+      uint64_t word = 0;
+      if (!Pod(&word)) return false;
+      if (w < words->size()) (*words)[w] = word;
+    }
+    return true;
+  }
+
  private:
   const char* data_;
   size_t size_;
@@ -139,13 +153,14 @@ class ByteReader {
 
 // ------------------------------------------------- augmentation codecs
 //
-// Fixed-width per-entry payloads; the word counts are derivable from the
-// superblock parameters and double-checked against the tree metadata.
+// Fixed-width per-entry payloads, sized by the index's TreeGeometry.
 
-struct NoAugCodec {
-  uint32_t aug_bits() const { return 0; }
-  uint32_t aug_words() const { return 0; }
-  uint32_t payload_bytes() const { return 0; }
+template <typename Aug>
+struct AugCodec;
+
+template <>
+struct AugCodec<NoAug> {
+  explicit AugCodec(const TreeGeometry&) {}
   void Write(std::string*, const NoAug&) const {}
   bool Read(ByteReader&, NoAug*) const { return true; }
 };
@@ -153,88 +168,152 @@ struct NoAugCodec {
 /// SrtAug persists {max score, aggregated Hilbert words}; the decoded
 /// keyword cache is re-derived on read (DecodeKeywords is the exact
 /// inverse of the encoding, so the rebuilt aug is identical).
-struct SrtAugCodec {
-  uint32_t universe = 0;
-
-  uint32_t aug_bits() const { return universe; }
-  uint32_t aug_words() const { return (universe + 63) / 64; }
-  uint32_t payload_bytes() const { return 8 + 8 * aug_words(); }
+template <>
+struct AugCodec<SrtAug> {
+  explicit AugCodec(const TreeGeometry& g) : geometry(g) {}
 
   void Write(std::string* out, const SrtAug& aug) const {
     PutPod(out, aug.max_score);
-    const std::vector<uint64_t>& words = aug.keyword_hilbert.words();
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      PutPod<uint64_t>(out, w < words.size() ? words[w] : 0);
-    }
+    PutWords(out, aug.keyword_hilbert.words(), geometry.aug_words);
   }
 
   bool Read(ByteReader& in, SrtAug* aug) const {
-    if (!in.Pod(&aug->max_score)) return false;
-    HilbertValue hv(universe);
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      uint64_t word = 0;
-      if (!in.Pod(&word)) return false;
-      if (w < hv.words().size()) hv.words()[w] = word;
+    HilbertValue hv(geometry.aug_bits);
+    if (!in.Pod(&aug->max_score) ||
+        !in.Words(geometry.aug_words, &hv.words())) {
+      return false;
     }
-    aug->keywords = DecodeKeywords(hv, universe);
+    aug->keywords = DecodeKeywords(hv, geometry.aug_bits);
     aug->keyword_hilbert = std::move(hv);
     return true;
   }
+
+  TreeGeometry geometry;
 };
 
 /// Ir2Aug persists {max score, signature words}.
-struct Ir2AugCodec {
-  uint32_t signature_bits = 0;
-
-  uint32_t aug_bits() const { return signature_bits; }
-  uint32_t aug_words() const { return (signature_bits + 63) / 64; }
-  uint32_t payload_bytes() const { return 8 + 8 * aug_words(); }
+template <>
+struct AugCodec<Ir2Aug> {
+  explicit AugCodec(const TreeGeometry& g) : geometry(g) {}
 
   void Write(std::string* out, const Ir2Aug& aug) const {
     PutPod(out, aug.max_score);
-    const std::vector<uint64_t>& words = aug.signature.words();
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      PutPod<uint64_t>(out, w < words.size() ? words[w] : 0);
-    }
+    PutWords(out, aug.signature.words(), geometry.aug_words);
   }
 
   bool Read(ByteReader& in, Ir2Aug* aug) const {
-    if (!in.Pod(&aug->max_score)) return false;
-    std::vector<uint64_t> words(aug_words(), 0);
-    for (uint32_t w = 0; w < aug_words(); ++w) {
-      if (!in.Pod(&words[w])) return false;
+    std::vector<uint64_t> words(geometry.aug_words, 0);
+    if (!in.Pod(&aug->max_score) || !in.Words(geometry.aug_words, &words)) {
+      return false;
     }
-    aug->signature = Signature::FromWords(signature_bits, std::move(words));
+    aug->signature = Signature::FromWords(geometry.aug_bits, std::move(words));
     return true;
   }
+
+  TreeGeometry geometry;
 };
 
-/// The IR2 signature width rule, mirrored from the index builder: explicit
-/// when configured, else scaled to the vocabulary.
-inline uint32_t EffectiveIr2SignatureBits(uint32_t configured_bits,
-                                          uint32_t universe_size) {
-  return configured_bits != 0 ? configured_bits
-                              : std::max(64u, 2 * universe_size);
-}
+// ------------------------------------------------------- node codec
 
-// ------------------------------------------------------- slot geometry
+/// The one entry and slot layout.  An entry is D lo-doubles, D hi-doubles,
+/// a uint32 child/record id, then the aug payload.  A slot is an 8-byte
+/// header (uint16 level, uint16 reserved, uint32 count) and the entries,
+/// zero-padded to the page-aligned worst-case node size, so node i lives
+/// at i * slot_bytes and a FilePageStore serves it with one read.
+template <int D, typename Aug>
+class NodeCodec {
+ public:
+  using Entry = typename RTree<D, Aug>::Entry;
+  using Node = typename RTree<D, Aug>::Node;
 
-/// Serialized width of one tree entry: D lo-doubles, D hi-doubles, a
-/// uint32 child/record id, then the codec payload.
-inline uint32_t EntryBytes(int dims, uint32_t payload_bytes) {
-  return 16u * static_cast<uint32_t>(dims) + 4u + payload_bytes;
-}
+  NodeCodec(const TreeGeometry& geometry, uint32_t page_size)
+      : geometry_(geometry),
+        aug_(geometry),
+        entry_bytes_(16u * D + 4u + geometry.aug_bytes),
+        slot_bytes_(static_cast<uint32_t>(AlignUp(
+            8ull + uint64_t{geometry.max_entries} * entry_bytes_,
+            page_size))) {}
 
-/// Page-aligned fixed slot width for a node segment: the worst-case node
-/// record (8-byte header + max_entries entries) rounded up to the page.
-inline uint32_t SlotBytesFor(uint32_t max_entries, uint32_t entry_bytes,
-                             uint32_t page_size) {
-  const uint64_t max_node_bytes = 8ull + uint64_t{max_entries} * entry_bytes;
-  return static_cast<uint32_t>(AlignUp(max_node_bytes, page_size));
-}
+  const TreeGeometry& geometry() const { return geometry_; }
+  uint32_t entry_bytes() const { return entry_bytes_; }
+  uint32_t slot_bytes() const { return slot_bytes_; }
 
-// ------------------------------------------------------ header structs
+  void EncodeEntry(const Entry& e, std::string* out) const {
+    for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
+    for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
+    PutPod<uint32_t>(out, e.id);
+    aug_.Write(out, e.aug);
+  }
 
+  bool DecodeEntry(ByteReader& in, Entry* e) const {
+    for (int d = 0; d < D; ++d) {
+      if (!in.Pod(&e->rect.lo[d])) return false;
+    }
+    for (int d = 0; d < D; ++d) {
+      if (!in.Pod(&e->rect.hi[d])) return false;
+    }
+    return in.Pod(&e->id) && aug_.Read(in, &e->aug);
+  }
+
+  /// Appends one node's slot, exactly slot_bytes() long.
+  [[nodiscard]] Status EncodeSlot(uint16_t level,
+                                  const std::vector<Entry>& entries,
+                                  std::string* out) const {
+    const size_t start = out->size();
+    PutPod<uint16_t>(out, level);
+    PutPod<uint16_t>(out, 0);
+    PutPod<uint32_t>(out, static_cast<uint32_t>(entries.size()));
+    for (const Entry& e : entries) EncodeEntry(e, out);
+    if (out->size() - start > slot_bytes_) {
+      return Status::Internal("index node overflows its slot: " +
+                              std::to_string(out->size() - start) + " > " +
+                              std::to_string(slot_bytes_) + " bytes");
+    }
+    out->resize(start + slot_bytes_);  // zero-pad to the slot boundary
+    return Status::OK();
+  }
+
+  bool DecodeSlot(const char* slot, Node* node) const {
+    ByteReader r(slot, slot_bytes_);
+    uint16_t reserved = 0;
+    uint32_t count = 0;
+    if (!r.Pod(&node->level) || !r.Pod(&reserved) || !r.Pod(&count) ||
+        count > geometry_.max_entries) {
+      return false;
+    }
+    node->entries.resize(count);
+    for (Entry& e : node->entries) {
+      if (!DecodeEntry(r, &e)) return false;
+    }
+    return true;
+  }
+
+ private:
+  TreeGeometry geometry_;
+  AugCodec<Aug> aug_;
+  uint32_t entry_bytes_;
+  uint32_t slot_bytes_;
+};
+
+// ----------------------------------------------------- record encoders
+//
+// One encoder per record-segment row and header.  Writers stream them
+// through SegmentWriter; the sizes the planner needs come from running
+// the same encoders through a counting SegmentWriter.
+
+void EncodeObjectsHeader(uint64_t count, std::string* out);
+void EncodeObjectRecord(uint32_t id, const DataObject& o, std::string* out);
+void EncodeVocabularyHeader(uint32_t terms, std::string* out);
+void EncodeVocabTerm(const std::string& term, std::string* out);
+void EncodeFeatureTableHeader(uint32_t universe, uint64_t count,
+                              std::string* out);
+void EncodeFeatureRecord(uint32_t id, const FeatureObject& f,
+                         std::string* out);
+
+// ------------------------------------------------------------- planner
+
+/// One catalog row, laid out exactly as on disk (little-endian, no
+/// padding), so it is written and read as one POD.
 struct CatalogEntry {
   uint32_t type = 0;
   uint32_t ordinal = 0;
@@ -243,59 +322,141 @@ struct CatalogEntry {
   uint64_t first_page = 0;
   uint64_t slot_count = 0;
   uint32_t slot_bytes = 0;
+  uint32_t reserved = 0;
   uint64_t checksum = 0;
 };
+static_assert(sizeof(CatalogEntry) == kCatalogEntryBytes &&
+              std::is_trivially_copyable_v<CatalogEntry>);
 
-/// Appends one 56-byte catalog row in file order.
-inline void AppendCatalogEntry(std::string* out, const CatalogEntry& e) {
-  PutPod<uint32_t>(out, e.type);
-  PutPod<uint32_t>(out, e.ordinal);
-  PutPod<uint64_t>(out, e.offset);
-  PutPod<uint64_t>(out, e.bytes);
-  PutPod<uint64_t>(out, e.first_page);
-  PutPod<uint64_t>(out, e.slot_count);
-  PutPod<uint32_t>(out, e.slot_bytes);
-  PutPod<uint32_t>(out, 0u);  // reserved
-  PutPod<uint64_t>(out, e.checksum);
-}
+/// One tree as the planner sees it: its metadata payload, known before any
+/// node is written, and its slot geometry.
+struct TreeSegments {
+  std::string meta;
+  uint64_t slot_count = 0;
+  uint32_t slot_bytes = 0;
+};
 
-/// Appends the 52-byte superblock.  `index_kind` / `bulk_load` are the raw
-/// enum values so this header does not depend on io/index_file.h.
-inline void AppendSuperblock(std::string* out, uint32_t page_size,
-                             uint32_t index_kind, uint32_t bulk_load,
-                             uint32_t signature_bits, uint32_t signature_hashes,
-                             double fill, uint64_t object_count,
-                             uint32_t table_count, uint32_t segment_count) {
-  PutPod<uint32_t>(out, kIndexMagic);
-  PutPod<uint32_t>(out, kIndexVersion);
-  PutPod<uint32_t>(out, page_size);
-  PutPod<uint32_t>(out, index_kind);
-  PutPod<uint32_t>(out, bulk_load);
-  PutPod<uint32_t>(out, signature_bits);
-  PutPod<uint32_t>(out, signature_hashes);
-  PutPod<double>(out, fill);
-  PutPod<uint64_t>(out, object_count);
-  PutPod<uint32_t>(out, table_count);
-  PutPod<uint32_t>(out, segment_count);
-}
-
-/// Appends a tree-metadata payload: root, height, record count, node
+/// Encodes a tree's metadata payload: root, height, record count, node
 /// count, fan-out, aug layout, then the free list.
-inline void AppendTreeMeta(std::string* out, uint32_t root, uint32_t height,
-                           uint64_t size, uint32_t node_count,
-                           uint32_t max_entries, uint32_t aug_bits,
-                           uint32_t aug_words,
-                           const std::vector<uint32_t>& free_nodes) {
-  PutPod<uint32_t>(out, root);
-  PutPod<uint32_t>(out, height);
-  PutPod<uint64_t>(out, size);
-  PutPod<uint32_t>(out, node_count);
-  PutPod<uint32_t>(out, max_entries);
-  PutPod<uint32_t>(out, aug_bits);
-  PutPod<uint32_t>(out, aug_words);
-  PutPod<uint32_t>(out, static_cast<uint32_t>(free_nodes.size()));
-  for (uint32_t id : free_nodes) PutPod<uint32_t>(out, id);
-}
+TreeSegments MakeTreeSegments(const TreeGeometry& geometry,
+                              uint32_t slot_bytes, NodeId root,
+                              uint32_t height, uint64_t size,
+                              uint64_t node_count,
+                              const std::vector<NodeId>& free_nodes = {});
+
+/// Record-segment sizes of one feature table.
+struct TableSizes {
+  uint64_t vocabulary = 0;
+  uint64_t features = 0;
+};
+
+/// Every segment of one file at its final offset.  Catalog order: objects,
+/// (vocabulary, feature table) per table, then (meta, nodes) per tree —
+/// tree 0 the object tree, tree i + 1 the feature tree of table i.  Node
+/// segments start page-aligned, so slot offsets are page offsets; tree t
+/// takes page ids from kIndexPageStride * t.
+class IndexPlan {
+ public:
+  IndexPlan(uint32_t page_size, uint64_t objects_bytes,
+            const std::vector<TableSizes>& tables,
+            std::vector<TreeSegments> trees);
+
+  CatalogEntry& objects() { return catalog_[0]; }
+  CatalogEntry& vocabulary(uint32_t i) { return catalog_[1 + 2 * size_t{i}]; }
+  CatalogEntry& table(uint32_t i) { return catalog_[2 + 2 * size_t{i}]; }
+  CatalogEntry& tree_meta(uint32_t t) { return catalog_[TreeAt(t)]; }
+  CatalogEntry& tree_nodes(uint32_t t) { return catalog_[TreeAt(t) + 1]; }
+  const TreeSegments& tree(uint32_t t) const { return trees_[t]; }
+
+  uint32_t table_count() const { return table_count_; }
+  const std::vector<CatalogEntry>& catalog() const { return catalog_; }
+  uint64_t file_end() const { return file_end_; }
+
+ private:
+  size_t TreeAt(uint32_t t) const {
+    return 1 + 2 * size_t{table_count_} + 2 * size_t{t};
+  }
+
+  uint32_t table_count_;
+  std::vector<TreeSegments> trees_;
+  std::vector<CatalogEntry> catalog_;
+  uint64_t file_end_ = 0;
+};
+
+// ------------------------------------------------------------- writers
+
+/// Streams one record segment to its planned offset, folding every byte
+/// into the segment checksum.  Default-constructed it only counts bytes:
+/// the planner's sizes.  Write errors are sticky and surface at Finish.
+class SegmentWriter {
+ public:
+  SegmentWriter() = default;
+  SegmentWriter(AtomicFile* out, uint64_t offset)
+      : out_(out), offset_(offset) {}
+
+  /// Appends `encode(args..., &buffer)`.
+  template <typename Encoder, typename... Args>
+  void Put(Encoder encode, const Args&... args) {
+    encode(args..., &buf_);
+    if (buf_.size() >= kFlushBytes) Flush();
+  }
+
+  uint64_t bytes() const { return written_ + buf_.size(); }
+
+  /// Flushes the tail and records the checksum in `seg`.  A size other
+  /// than the planned one means the input changed between the sizing and
+  /// the writing pass.
+  [[nodiscard]] Status Finish(CatalogEntry* seg);
+
+ private:
+  static constexpr size_t kFlushBytes = size_t{1} << 20;
+
+  void Flush();
+
+  AtomicFile* out_ = nullptr;
+  uint64_t offset_ = 0;
+  std::string buf_;
+  Status status_ = Status::OK();
+  Fnv1a64Stream fnv_;
+  uint64_t written_ = 0;
+};
+
+/// Writes the metadata of tree `t` and checksums its node segment by
+/// reading it back: the one node-checksum rule of both writers (the
+/// external packer writes slots out of id order), which doubles as a
+/// read-back check of every slot write.
+[[nodiscard]] Status FinishTree(AtomicFile* out, IndexPlan* plan, uint32_t t);
+
+/// Writes the node slots of tree `t` at their ids, in any order.
+template <int D, typename Aug>
+class TreeWriter {
+ public:
+  TreeWriter(AtomicFile* out, const NodeCodec<D, Aug>& codec, IndexPlan* plan,
+             uint32_t t)
+      : out_(out), codec_(codec), offset_(plan->tree_nodes(t).offset) {}
+
+  [[nodiscard]] Status WriteNode(
+      NodeId id, uint16_t level,
+      const std::vector<typename RTree<D, Aug>::Entry>& entries) {
+    slot_.clear();
+    STPQ_RETURN_NOT_OK(codec_.EncodeSlot(level, entries, &slot_));
+    const uint64_t at = offset_ + uint64_t{id} * codec_.slot_bytes();
+    return out_->WriteAt(at, slot_.data(), slot_.size());
+  }
+
+ private:
+  AtomicFile* out_;
+  const NodeCodec<D, Aug>& codec_;
+  uint64_t offset_;
+  std::string slot_;
+};
+
+/// Writes the header — superblock and catalog, assembled here and nowhere
+/// else — pins the planned file end and durably commits the file.
+[[nodiscard]] Status CommitIndexFile(AtomicFile* out,
+                                     const IndexBuildParams& params,
+                                     uint64_t object_count,
+                                     const IndexPlan& plan);
 
 }  // namespace index_format
 }  // namespace stpq

@@ -13,8 +13,7 @@
 // Spans are placed at algorithmic boundaries (one per component-score
 // search, per combination emitted, per retrieval batch), not per heap
 // operation, so tracing adds <5% to query execution (DESIGN.md §12 quotes
-// the measurement).  Defining STPQ_DISABLE_PHASE_TRACING compiles the
-// STPQ_TRACE_PHASE macro away entirely.
+// the measurement).
 #ifndef STPQ_OBS_PHASE_H_
 #define STPQ_OBS_PHASE_H_
 
@@ -71,16 +70,10 @@ class PhaseTimer {
 }  // namespace stpq
 
 // Opens a phase span for the rest of the enclosing block.
-#if defined(STPQ_DISABLE_PHASE_TRACING)
-#define STPQ_TRACE_PHASE(stats, phase) \
-  do {                                 \
-  } while (false)
-#else
 #define STPQ_TRACE_PHASE_CAT2(a, b) a##b
 #define STPQ_TRACE_PHASE_CAT(a, b) STPQ_TRACE_PHASE_CAT2(a, b)
 #define STPQ_TRACE_PHASE(stats, phase)                          \
   ::stpq::PhaseTimer STPQ_TRACE_PHASE_CAT(stpq_phase_timer_,    \
                                           __LINE__)(stats, phase)
-#endif
 
 #endif  // STPQ_OBS_PHASE_H_

@@ -37,7 +37,6 @@ inline constexpr NodeId kInvalidNodeId = std::numeric_limits<NodeId>::max();
 /// Augmentation for plain R-trees (no extra per-entry payload).
 struct NoAug {
   static NoAug Merge(const NoAug&, const NoAug&) { return {}; }
-  static constexpr uint32_t kEntryBytes = 0;
 };
 
 /// R-tree sizing and storage knobs.
@@ -63,6 +62,36 @@ inline uint32_t FanOutForPage(uint32_t page_bytes, int dims,
   return std::max(fanout, 4u);
 }
 
+/// Minimum node occupancy after a split or a bulk pack:
+/// max(2, max_entries * min_fill).
+inline uint32_t MinEntriesFor(const RTreeOptions& options) {
+  return std::max<uint32_t>(
+      2, static_cast<uint32_t>(options.max_entries * options.min_fill));
+}
+
+/// Page geometry of one index tree: fan-out and per-entry augmentation
+/// layout.  Each index type derives it in one static function
+/// (ObjectIndex::Geometry, SrtIndex::Geometry, Ir2Tree::Geometry) that the
+/// builders, the .stpqx reader and the external planner all call.
+struct TreeGeometry {
+  uint32_t max_entries = 0;  ///< entries per node (page)
+  uint32_t aug_bits = 0;     ///< keyword bits per entry (universe/signature)
+  uint32_t aug_words = 0;    ///< 64-bit words persisted for those bits
+  uint32_t aug_bytes = 0;    ///< persisted augmentation bytes per entry
+};
+
+/// Tree options of an index: fan-out from its geometry, pool and page base
+/// from its build options (ObjectIndexOptions, FeatureIndexOptions).
+template <typename IndexOptions>
+RTreeOptions TreeOptionsFor(const IndexOptions& options,
+                            const TreeGeometry& geometry) {
+  RTreeOptions t;
+  t.max_entries = geometry.max_entries;
+  t.buffer_pool = options.buffer_pool;
+  t.page_base = options.page_base;
+  return t;
+}
+
 /// R-tree over D-dimensional rectangles with Aug-augmented entries.
 ///
 /// Aug must provide `static Aug Merge(const Aug&, const Aug&)`.
@@ -83,8 +112,7 @@ class RTree {
 
   explicit RTree(RTreeOptions options = {}) : options_(options) {
     STPQ_CHECK(options_.max_entries >= 4);
-    min_entries_ = std::max<uint32_t>(
-        2, static_cast<uint32_t>(options_.max_entries * options_.min_fill));
+    min_entries_ = MinEntriesFor(options_);
   }
 
   /// Number of indexed records.
@@ -229,48 +257,25 @@ class RTree {
 
   /// Bulk loads from records pre-sorted by the caller (e.g. by Hilbert key
   /// per Kamel & Faloutsos, or by STR tiles).  Replaces any existing content.
-  /// `fill` is the target leaf/node occupancy fraction.
+  /// `fill` is the target leaf/node occupancy fraction.  Defined in
+  /// rtree/bulk_load.h, which drives the shared LevelPacker; include it to
+  /// call this.
   void BulkLoadSorted(const std::vector<Entry>& sorted_records,
-                      double fill = 1.0) {
-    nodes_.clear();
-    node_decoder_ = nullptr;
-    node_once_.reset();
-    materialized_nodes_.reset();
-    root_ = kInvalidNodeId;
-    height_ = 0;
-    size_ = sorted_records.size();
-    if (sorted_records.empty()) return;
-    uint32_t per_node = std::max<uint32_t>(
-        min_entries_,
-        static_cast<uint32_t>(options_.max_entries * fill));
-    per_node = std::min(per_node, options_.max_entries);
+                      double fill = 1.0);
 
-    // Pack the current level into parent entries, bottom-up.
-    std::vector<Entry> level_entries;
-    uint16_t level = 0;
-    {
-      const std::vector<Entry>& recs = sorted_records;
-      for (size_t i = 0; i < recs.size(); i += per_node) {
-        size_t end = std::min(recs.size(), i + per_node);
-        NodeId nid = NewNode(0);
-        nodes_[nid].entries.assign(recs.begin() + i, recs.begin() + end);
-        level_entries.push_back(SummarizeNode(nid));
-      }
+  /// Parent entry for a node holding `entries` (MBR union + Aug merge):
+  /// the one summary fold of insertion, bulk packing and CheckInvariants.
+  static Entry Summarize(const std::vector<Entry>& entries, NodeId id) {
+    STPQ_DCHECK(!entries.empty());
+    Entry out;
+    out.id = id;
+    out.rect = entries.front().rect;
+    out.aug = entries.front().aug;
+    for (size_t i = 1; i < entries.size(); ++i) {
+      out.rect.Enlarge(entries[i].rect);
+      out.aug = Aug::Merge(out.aug, entries[i].aug);
     }
-    while (level_entries.size() > 1) {
-      ++level;
-      std::vector<Entry> next;
-      for (size_t i = 0; i < level_entries.size(); i += per_node) {
-        size_t end = std::min(level_entries.size(), i + per_node);
-        NodeId nid = NewNode(level);
-        nodes_[nid].entries.assign(level_entries.begin() + i,
-                                   level_entries.begin() + end);
-        next.push_back(SummarizeNode(nid));
-      }
-      level_entries = std::move(next);
-    }
-    root_ = level_entries.front().id;
-    height_ = level + 1;
+    return out;
   }
 
   /// Calls `fn(record_id, rect, aug)` for every leaf record whose rectangle
@@ -472,19 +477,8 @@ class RTree {
     }
   }
 
-  /// Parent entry summarizing node `nid` (MBR union + Aug merge).
-  Entry SummarizeNode(NodeId nid) {
-    const Node& node = nodes_[nid];
-    STPQ_DCHECK(!node.entries.empty());
-    Entry out;
-    out.id = nid;
-    out.rect = node.entries.front().rect;
-    out.aug = node.entries.front().aug;
-    for (size_t i = 1; i < node.entries.size(); ++i) {
-      out.rect.Enlarge(node.entries[i].rect);
-      out.aug = Aug::Merge(out.aug, node.entries[i].aug);
-    }
-    return out;
+  Entry SummarizeNode(NodeId nid) const {
+    return Summarize(nodes_[nid].entries, nid);
   }
 
   /// Descends to the leaf with minimal area enlargement, recording the path
@@ -648,18 +642,9 @@ class RTree {
     for (const Entry& e : node.entries) {
       const Node& child = nodes_[e.id];
       if (child.entries.empty()) return false;
-      Rect<D> rect = child.entries.front().rect;
-      Aug aug = child.entries.front().aug;
-      for (size_t i = 1; i < child.entries.size(); ++i) {
-        rect.Enlarge(child.entries[i].rect);
-        aug = Aug::Merge(aug, child.entries[i].aug);
-      }
-      for (int d = 0; d < D; ++d) {
-        if (rect.lo[d] != e.rect.lo[d] || rect.hi[d] != e.rect.hi[d]) {
-          return false;
-        }
-      }
-      if (!aug_equal(aug, e.aug)) return false;
+      const Entry expect = Summarize(child.entries, e.id);
+      if (!RectsEqual(expect.rect, e.rect)) return false;
+      if (!aug_equal(expect.aug, e.aug)) return false;
       if (!CheckNode(e.id, expected_level - 1, aug_equal)) return false;
     }
     return true;

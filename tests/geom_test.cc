@@ -1,6 +1,8 @@
 // Tests for geom/: points, rectangles, convex polygon clipping.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "geom/point.h"
 #include "geom/polygon.h"
 #include "geom/rect.h"
@@ -151,6 +153,34 @@ TEST(PolygonTest, RepeatedClipsMatchVoronoiCell) {
   EXPECT_NEAR(cell.Area(), 1.0 / 9.0, 1e-9);
   EXPECT_TRUE(cell.Contains(center));
   EXPECT_FALSE(cell.Contains({0.5 + 0.25, 0.5}));
+}
+
+TEST(PolygonTest, ContainsToleranceIsADistance) {
+  // Recorded NN-variant geometry: an object about 7e-8 past the bisector
+  // of two features, at squared distances 1.885090e-4 (other) and
+  // 1.885110e-4 (keep).  The other member's cell cuts the qualifying
+  // region to a sliver around the object, so the bisector edge is short
+  // and the unnormalized cross product fell under eps; the object must
+  // still fall outside keep's region.
+  const double spacing = 1.0 / 70.0;
+  const double past = 7e-8;
+  const Point keep{0.5, 0.5};
+  const Point other{0.5 + spacing, 0.5};
+  const double half = spacing / 2 - past;
+  const Point object{0.5 + spacing / 2 + past,
+                     0.5 + std::sqrt(1.885090e-4 - half * half)};
+  ASSERT_NEAR(SquaredDistance(object, other), 1.885090e-4, 1e-12);
+  ASSERT_NEAR(SquaredDistance(object, keep), 1.885110e-4, 1e-12);
+
+  ConvexPolygon region = ConvexPolygon::FromRect(MakeRect2(0, 0, 1, 1));
+  region.Clip(BisectorHalfPlane(keep, other));
+  region.Clip(HalfPlane{0.0, 1.0, object.y + 5e-4});
+  region.Clip(HalfPlane{0.0, -1.0, -(object.y - 5e-4)});
+  ASSERT_FALSE(region.IsEmpty());
+  EXPECT_FALSE(region.Contains(object));
+  // Points on the bisector, or within eps of it, still count as inside.
+  EXPECT_TRUE(region.Contains({0.5 + spacing / 2, object.y}));
+  EXPECT_TRUE(region.Contains({0.5 + spacing / 2 + 5e-10, object.y}));
 }
 
 TEST(PolygonTest, BoundingBoxAndMaxDistance) {

@@ -3,6 +3,7 @@
 // including QueryStats merging under the parallel workload runner.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -315,6 +316,36 @@ TEST(MetricsRegistryTest, PrometheusTextExposition) {
   EXPECT_EQ(buckets_seen,
             static_cast<int>(LatencyBuckets::kNumBuckets));  // incl. +Inf
   EXPECT_EQ(prev, 2u);  // the +Inf bucket equals _count
+}
+
+TEST(MetricsRegistryTest, HistogramCountMatchesInfBucketUnderConcurrency) {
+  // Renders race recorders on other threads; every render must report a
+  // _count equal to its own +Inf bucket.
+  MetricsRegistry reg;
+  HistogramMetric& h = reg.GetHistogram("stpq_race_ms", "Raced histogram");
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> recorders;
+  for (int t = 0; t < 3; ++t) {
+    recorders.emplace_back([&h, &stop, t] {
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        h.Record(static_cast<double>((i * 7 + t) % 200) * 0.05);
+      }
+    });
+  }
+  const auto sample = [](const std::string& text, const std::string& key) {
+    const size_t at = text.find(key);
+    EXPECT_NE(at, std::string::npos) << key;
+    return std::stoull(text.substr(at + key.size()));
+  };
+  int torn = -1;  // first render whose _count disagrees with +Inf
+  for (int i = 0; i < 300 && torn < 0; ++i) {
+    const std::string text = reg.RenderPrometheusText();
+    const uint64_t inf = sample(text, "stpq_race_ms_bucket{le=\"+Inf\"} ");
+    if (sample(text, "stpq_race_ms_count ") != inf) torn = i;
+  }
+  stop.store(true);
+  for (std::thread& t : recorders) t.join();
+  EXPECT_EQ(torn, -1) << "render " << torn << ": _count != +Inf bucket";
 }
 
 TEST(MetricsRegistryTest, PrometheusHelpEscapesBackslashAndNewline) {
