@@ -16,6 +16,7 @@
 #include "index/srt_index.h"
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
+#include "obs/metrics_registry.h"
 #include "obs/trace.h"
 #include "storage/buffer_pool.h"
 #include "storage/page_store.h"
@@ -388,14 +389,28 @@ void BM_TraceInstantIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_TraceInstantIdle);
 
+// A span without stats (external-build phases, admin requests).
 void BM_TraceSpanIdle(benchmark::State& state) {
   Tracer::Global().Stop();
   for (auto _ : state) {
-    STPQ_TRACE_SPAN(TraceEventType::kComponentScore, 0, 0);
+    TraceSpan span(TraceEventType::kBuildPhase);
     benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_TraceSpanIdle);
+
+// The per-boundary span every algorithm phase opens: two clock reads and
+// the self-time attribution, whether or not the tracer is armed.
+void BM_PhaseSpanIdle(benchmark::State& state) {
+  Tracer::Global().Stop();
+  QueryStats stats;
+  for (auto _ : state) {
+    TraceSpan span(stats, TraceEventType::kComponentScore);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(stats.phase_ms[0]);
+}
+BENCHMARK(BM_PhaseSpanIdle);
 
 // Recording cost: timestamp + ring store.  The thread's ring is drained
 // (discarded) periodically so the steady state measures the emit path,
@@ -417,7 +432,7 @@ void BM_TraceSpanActive(benchmark::State& state) {
   uint64_t i = 0;
   for (auto _ : state) {
     {
-      STPQ_TRACE_SPAN(TraceEventType::kComponentScore, 0, 0);
+      TraceSpan span(TraceEventType::kBuildPhase);
       benchmark::ClobberMemory();
     }
     if ((++i & 0x1fff) == 0) Tracer::DrainCurrentThread(0, nullptr);
@@ -426,6 +441,23 @@ void BM_TraceSpanActive(benchmark::State& state) {
   Tracer::Global().Discard();
 }
 BENCHMARK(BM_TraceSpanActive);
+
+void BM_PhaseSpanActive(benchmark::State& state) {
+  Tracer::Global().Start();
+  QueryStats stats;
+  uint64_t i = 0;
+  for (auto _ : state) {
+    {
+      TraceSpan span(stats, TraceEventType::kComponentScore);
+      benchmark::ClobberMemory();
+    }
+    if ((++i & 0x1fff) == 0) Tracer::DrainCurrentThread(0, nullptr);
+  }
+  Tracer::Global().Stop();
+  Tracer::Global().Discard();
+  benchmark::DoNotOptimize(stats.phase_ms[0]);
+}
+BENCHMARK(BM_PhaseSpanActive);
 
 // Raw SPSC ring throughput: amortized emit + periodic full drain into a
 // reused buffer (the collector side of the slow-query log).
@@ -448,6 +480,21 @@ void BM_TraceRingEmitDrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TraceRingEmitDrain);
+
+// ------------------------------------------ metrics snapshot (DESIGN.md §12)
+
+// One /varz tick's histogram copy: O(buckets) however many samples the
+// histogram holds (it used to replay every sample).
+void BM_HistogramSnapshot(benchmark::State& state) {
+  MetricsRegistry registry;
+  HistogramMetric& h = registry.GetHistogram("bench_ms", "bench");
+  for (int i = 0; i < 100'000; ++i) h.Record(0.01 * (i % 5000));
+  for (auto _ : state) {
+    LatencyHistogram snap = h.Snapshot();
+    benchmark::DoNotOptimize(snap);
+  }
+}
+BENCHMARK(BM_HistogramSnapshot);
 
 }  // namespace
 }  // namespace stpq

@@ -4,7 +4,6 @@
 
 #include "core/score.h"
 #include "geom/rect.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -15,9 +14,8 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
                              double r, QueryStats& stats,
                              TraversalScratch& scratch) {
   if (index.RootId() == kInvalidNodeId) return {};
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
-  HeapWatermark watermark;
+  TraceSpan span(stats, TraceEventType::kComponentScore,
+                 index.set_ordinal());
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const double r2 = r * r;
   BorrowedMaxHeap heap(scratch.heap);
@@ -51,7 +49,7 @@ BestFeature ComputeBestRange(const FeatureIndex& index, const Point& p,
       ++stats.heap_pushes;
     }
     RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
-    watermark.Observe(heap.size());
+    span.ObserveHeap(heap.size());
   }
   return {};
 }
@@ -68,9 +66,8 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
                                  double r, QueryStats& stats,
                                  TraversalScratch& scratch) {
   if (index.RootId() == kInvalidNodeId) return {};
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
-  HeapWatermark watermark;
+  TraceSpan span(stats, TraceEventType::kComponentScore,
+                 index.set_ordinal());
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   BorrowedMaxHeap heap(scratch.heap);
   heap.push({1.0, index.RootId(), false});
@@ -101,7 +98,7 @@ BestFeature ComputeBestInfluence(const FeatureIndex& index, const Point& p,
       ++stats.heap_pushes;
     }
     RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
-    watermark.Observe(heap.size());
+    span.ObserveHeap(heap.size());
   }
   return {};
 }
@@ -120,9 +117,8 @@ BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
                                        double lambda, QueryStats& stats,
                                        TraversalScratch& scratch) {
   if (index.RootId() == kInvalidNodeId) return {};
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
-  HeapWatermark watermark;
+  TraceSpan span(stats, TraceEventType::kComponentScore,
+                 index.set_ordinal());
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   BorrowedMinHeap heap(scratch.heap);
   heap.push({0.0, index.RootId(), false});
@@ -169,7 +165,7 @@ BestFeature ComputeBestNearestNeighbor(const FeatureIndex& index,
       ++stats.heap_pushes;
     }
     RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
-    watermark.Observe(heap.size());
+    span.ObserveHeap(heap.size());
   }
   return found ? best : BestFeature{};
 }
@@ -192,9 +188,8 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
   STPQ_CHECK(scores.size() == batch.size());
   std::fill(scores.begin(), scores.end(), 0.0);
   if (index.RootId() == kInvalidNodeId || batch.empty()) return;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kComponentScore);
-  STPQ_TRACE_SPAN(TraceEventType::kComponentScore, index.set_ordinal(), 0);
-  HeapWatermark watermark;
+  TraceSpan span(stats, TraceEventType::kComponentScore,
+                 index.set_ordinal());
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const double r2 = r * r;
 
@@ -257,7 +252,7 @@ void ComputeScoresRangeBatch(const FeatureIndex& index,
       ++stats.heap_pushes;
     }
     RecordNodeVisit(stats, tree, level, top.id, pruned, descended);
-    watermark.Observe(heap.size());
+    span.ObserveHeap(heap.size());
   }
 }
 

@@ -10,7 +10,6 @@
 #include "obs/query_metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/timer.h"
 
 namespace stpq {
 
@@ -271,9 +270,8 @@ Result<QueryResult> Engine::Execute(const Query& query,
   ExecutionSession session(object_pool_.get(), feature_pool_.get(),
                            options_.cold_cache_per_query);
   ExecutionSession::Scope scope(&session);
-  TraceQueryScope trace_scope;
-  Timer timer;
   QueryResult result;
+  TraceSpan query_span(result.stats, TraceEventType::kQuery);
   if (options.algorithm == Algorithm::kStds) {
     Stds stds(object_index_.get(), index_ptrs_);
     result = stds.Execute(query, options_.stds_batching, &session.scratch());
@@ -282,13 +280,12 @@ Result<QueryResult> Engine::Execute(const Query& query,
               voronoi_cache_.get());
     result = stps.Execute(query, options_.pulling, &session.scratch());
   }
-  result.stats.cpu_ms = timer.ElapsedMillis();
+  // Closing the span sets cpu_ms; it must close before the slow log drains
+  // this thread's ring so the end event is part of any captured record.
+  query_span.End();
   session.ExportIoCounters(result.stats);
-  // Close the query span before the slow log drains this thread's ring so
-  // the end event is part of any captured record.
-  trace_scope.End();
   if (options.slow_log != nullptr) {
-    options.slow_log->Offer(trace_scope.id(), result.stats.cpu_ms,
+    options.slow_log->Offer(query_span.trace_id(), result.stats.cpu_ms,
                             result.stats);
   }
   if (options.stats_sink != nullptr) {

@@ -9,7 +9,6 @@
 #include "core/compute_score.h"
 #include "core/score.h"
 #include "core/stps.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/topk.h"
@@ -33,10 +32,9 @@ std::vector<ScoredObject> TopKInfluenceObjects(
     double stop_threshold, QueryStats& stats, TraversalScratch& scratch) {
   std::vector<ScoredObject> out;
   if (objects.tree().root_id() == kInvalidNodeId) return out;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
-  STPQ_TRACE_SPAN(TraceEventType::kRetrievalBatch, static_cast<uint32_t>(k),
-                  static_cast<uint64_t>(member_pos.size()));
-  HeapWatermark watermark;
+  TraceSpan span(stats, TraceEventType::kRetrievalBatch,
+                 static_cast<uint32_t>(k),
+                 static_cast<uint64_t>(member_pos.size()));
 
   auto bound_for = [&](const Rect2& rect, bool exact_point) {
     double s = 0.0;
@@ -80,7 +78,7 @@ std::vector<ScoredObject> TopKInfluenceObjects(
     }
     RecordNodeVisit(stats, kTraceObjectTree, node.level, top.id, pruned,
                     descended);
-    watermark.Observe(heap.size());
+    span.ObserveHeap(heap.size());
   }
   return out;
 }
@@ -221,10 +219,8 @@ std::vector<ObjectId> NearestObjects(const ObjectIndex& objects,
                                      TraversalScratch& scratch) {
   std::vector<ObjectId> out;
   if (objects.tree().root_id() == kInvalidNodeId) return out;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
-  STPQ_TRACE_SPAN(TraceEventType::kRetrievalBatch, static_cast<uint32_t>(k),
-                  0);
-  HeapWatermark watermark;
+  TraceSpan span(stats, TraceEventType::kRetrievalBatch,
+                 static_cast<uint32_t>(k));
   // Min-heap on squared distance.
   BorrowedMinHeap heap(scratch.heap);
   heap.push({0.0, objects.tree().root_id(), false});
@@ -246,7 +242,7 @@ std::vector<ObjectId> NearestObjects(const ObjectIndex& objects,
     // Incremental NN expands everything it reads: nothing is pruned.
     RecordNodeVisit(stats, kTraceObjectTree, node.level, top.id, 0,
                     static_cast<uint32_t>(node.entries.size()));
-    watermark.Observe(heap.size());
+    span.ObserveHeap(heap.size());
   }
   return out;
 }

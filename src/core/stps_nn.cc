@@ -11,7 +11,6 @@
 #include "core/combination.h"
 #include "core/stps.h"
 #include "core/voronoi.h"
-#include "obs/phase.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 
@@ -27,9 +26,8 @@ void CollectObjectsInRegion(const ObjectIndex& objects,
                             std::vector<ResultEntry>* result,
                             QueryStats& stats, TraversalScratch& scratch) {
   if (objects.tree().root_id() == kInvalidNodeId || remaining == 0) return;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kObjectRetrieval);
-  STPQ_TRACE_SPAN(TraceEventType::kRetrievalBatch,
-                  static_cast<uint32_t>(remaining), 0);
+  TraceSpan span(stats, TraceEventType::kRetrievalBatch,
+                 static_cast<uint32_t>(remaining));
   const Rect2 bbox = region.BoundingBox();
   size_t added = 0;
   std::vector<NodeId>& stack = scratch.stack;

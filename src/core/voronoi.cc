@@ -1,8 +1,6 @@
 #include "core/voronoi.h"
 
-#include "obs/phase.h"
 #include "obs/trace.h"
-#include "util/timer.h"
 
 namespace stpq {
 
@@ -11,10 +9,8 @@ ConvexPolygon ComputeVoronoiCell(const FeatureIndex& index,
                                  const KeywordSet& query_kw, double lambda,
                                  const Rect2& domain, QueryStats& stats,
                                  TraversalScratch& scratch) {
-  Timer timer;
-  STPQ_TRACE_PHASE(stats, QueryPhase::kVoronoi);
-  STPQ_TRACE_SPAN(TraceEventType::kVoronoiCell, index.set_ordinal(),
-                  center_id);
+  TraceSpan span(stats, TraceEventType::kVoronoiCell, index.set_ordinal(),
+                 center_id);
   const uint8_t tree = TraceTreeForSet(index.set_ordinal());
   const BufferPoolStats before =
       index.buffer_pool() != nullptr ? index.buffer_pool()->stats()
@@ -64,7 +60,6 @@ ConvexPolygon ComputeVoronoiCell(const FeatureIndex& index,
   if (index.buffer_pool() != nullptr) {
     stats.voronoi_reads += (index.buffer_pool()->stats() - before).reads;
   }
-  stats.voronoi_cpu_ms += timer.ElapsedMillis();
   return cell;
 }
 

@@ -487,7 +487,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // Phase 0: survey the dataset (counts, segment sizes, sort domains).
   Survey survey;
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 0, 0);
+    TraceSpan span(TraceEventType::kBuildPhase, 0);
     STPQ_RETURN_NOT_OK(RunSurvey(dataset_path, params, &survey));
   }
   if (survey.object_count > kMaxRecordCount) {
@@ -552,7 +552,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
 
   // Phase 1: stream the objects segment and pack the object tree.
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 1, survey.object_count);
+    TraceSpan span(TraceEventType::kBuildPhase, 1, survey.object_count);
     SegmentWriter seg(&out, plan.objects().offset);
     ExternalSorter sorter(
         object_tree.codec.entry_bytes(), budget,
@@ -581,7 +581,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // feature tree.  One sorter lives at a time, so each gets the whole
   // budget.
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 2, stats.features);
+    TraceSpan span(TraceEventType::kBuildPhase, 2, stats.features);
     Result<uint32_t> tables_r = scan.ReadTableCount();
     if (!tables_r.ok()) return tables_r.status();
     if (tables_r.value() != table_count) return DatasetDrifted(dataset_path);
@@ -649,7 +649,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // Phase 3: header (superblock + catalog with the final checksums),
   // exact file size, durable commit.
   {
-    STPQ_TRACE_SPAN(TraceEventType::kBuildPhase, 3, 0);
+    TraceSpan span(TraceEventType::kBuildPhase, 3);
     STPQ_RETURN_NOT_OK(
         CommitIndexFile(&out, params, survey.object_count, plan));
   }

@@ -252,7 +252,7 @@ AdminResponse AdminServer::Route(const std::string& method,
   const std::string query_string =
       qmark == std::string::npos ? "" : target.substr(qmark + 1);
 
-  STPQ_TRACE_SPAN(TraceEventType::kAdminRequest, EndpointOrdinal(path), 0);
+  TraceSpan span(TraceEventType::kAdminRequest, EndpointOrdinal(path));
 
   if (method != "GET" && method != "HEAD") {
     return JsonError(405, "only GET is supported on the admin plane");

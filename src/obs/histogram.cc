@@ -20,6 +20,20 @@ size_t LatencyBuckets::IndexFor(double ms) {
   return static_cast<size_t>(idx);
 }
 
+LatencyHistogram LatencyHistogram::FromBuckets(const Buckets& buckets,
+                                               double sum_ms) {
+  LatencyHistogram out;
+  out.buckets_ = buckets;
+  for (size_t i = 0; i < buckets.size(); ++i) {
+    if (buckets[i] == 0) continue;
+    out.count_ += buckets[i];
+    out.max_ms_ = LatencyBuckets::UpperBoundMs(
+        i + 1 < LatencyBuckets::kNumBuckets ? i : i - 1);
+  }
+  if (out.count_ > 0) out.sum_ms_ = sum_ms;
+  return out;
+}
+
 void LatencyHistogram::Record(double ms) {
   if (std::isnan(ms) || ms < 0.0) ms = 0.0;
   ++buckets_[LatencyBuckets::IndexFor(ms)];

@@ -49,6 +49,14 @@ inline uint64_t SaturatingCounterDelta(uint64_t newer, uint64_t older) {
 /// Single-writer latency accumulator with percentile extraction.
 class LatencyHistogram {
  public:
+  using Buckets = std::array<uint64_t, LatencyBuckets::kNumBuckets>;
+
+  /// A histogram with the given bucket counts and exact sum.  Its count is
+  /// the bucket total; its max, which buckets do not carry, is the upper
+  /// bound of the highest non-empty bucket (the overflow bucket's lower
+  /// bound when that one is non-empty).
+  static LatencyHistogram FromBuckets(const Buckets& buckets, double sum_ms);
+
   void Record(double ms);
 
   /// Element-wise addition of another histogram (post-join merging).
@@ -81,7 +89,7 @@ class LatencyHistogram {
   std::string SummaryString() const;
 
  private:
-  std::array<uint64_t, LatencyBuckets::kNumBuckets> buckets_{};
+  Buckets buckets_{};
   uint64_t count_ = 0;
   double sum_ms_ = 0.0;
   double max_ms_ = 0.0;

@@ -10,14 +10,6 @@ size_t RoundUpPow2(size_t n) {
   return p;
 }
 
-/// Epoch every timestamp is relative to: fixed once per process so rings
-/// from different threads share one timeline.
-std::chrono::steady_clock::time_point Epoch() {
-  static const std::chrono::steady_clock::time_point epoch =
-      std::chrono::steady_clock::now();
-  return epoch;
-}
-
 }  // namespace
 
 const char* TraceEventTypeName(TraceEventType type) {
@@ -87,9 +79,11 @@ thread_local uint32_t Tracer::tls_trace_id_ = 0;
 
 // stpq-lint: allow(hot-alloc) leaky singleton: one allocation per process
 Tracer& Tracer::Global() {
-  static Tracer* tracer = new Tracer();
   // Pin the epoch before the first event so timestamps never go negative.
-  (void)Epoch();
+  static Tracer* tracer = [] {
+    (void)NowNs();
+    return new Tracer();
+  }();
   return *tracer;
 }
 
@@ -140,8 +134,15 @@ TraceRing* Tracer::RingForThisThread() {
 void Tracer::Emit(TraceEventType type, TraceMark mark, uint8_t arg_a,
                   uint8_t arg_b, uint32_t arg_c, uint64_t arg_d) {
   if (!Active()) return;
+  EmitAt(NowNs(), type, mark, arg_a, arg_b, arg_c, arg_d);
+}
+
+void Tracer::EmitAt(uint64_t ts_ns, TraceEventType type, TraceMark mark,
+                    uint8_t arg_a, uint8_t arg_b, uint32_t arg_c,
+                    uint64_t arg_d) {
+  if (!Active()) return;
   TraceEvent e;
-  e.ts_ns = NowNs();
+  e.ts_ns = ts_ns;
   e.trace_id = tls_trace_id_;
   e.type = type;
   e.mark = mark;
@@ -156,13 +157,6 @@ void Tracer::DrainCurrentThread(uint32_t trace_id,
                                 std::vector<TraceEvent>* out) {
   if (tls_ring_ == nullptr) return;
   tls_ring_->Drain(/*keep_all=*/false, trace_id, out);
-}
-
-uint64_t Tracer::NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - Epoch())
-          .count());
 }
 
 void SlowQueryLog::Offer(uint32_t trace_id, double elapsed_ms,

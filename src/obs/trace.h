@@ -10,17 +10,18 @@
 //
 // Span events (query, component-score search, combination round, retrieval
 // batch, Voronoi construction) are emitted as begin/end pairs by the RAII
-// TraceSpan; instant events record individual node visits (tree, level,
-// prune/descend verdicts), buffer-pool hits/misses/evictions, and search
-// heap high-water marks.  Each event carries the per-query trace id
-// assigned by TraceQueryScope in Engine::Execute, so one ring can hold
-// interleaved queries and the exporter (obs/trace_export.h) can still
-// attribute every event.
+// TraceSpan, the same object that attributes the phase's self-time to
+// QueryStats::phase_ms from the same two clock reads; instant events record
+// individual node visits (tree, level, prune/descend verdicts), buffer-pool
+// hits/misses/evictions, and search heap high-water marks.  Each event
+// carries the per-query trace id assigned by Engine::Execute's kQuery span,
+// so one ring can hold interleaved queries and the exporter
+// (obs/trace_export.h) can still attribute every event.
 //
 // Defining STPQ_DISABLE_TRACING compiles every emission point away (the
-// macros expand to nothing and TraceSpan/TraceQueryScope become empty);
-// the TraversalProfile counters in QueryStats are *not* part of tracing
-// and stay on in every build.
+// macros expand to nothing and TraceSpan never emits); phase accounting and
+// the TraversalProfile counters in QueryStats are *not* part of tracing and
+// stay on in every build.
 #ifndef STPQ_OBS_TRACE_H_
 #define STPQ_OBS_TRACE_H_
 
@@ -196,6 +197,12 @@ class Tracer {
   static void Emit(TraceEventType type, TraceMark mark, uint8_t arg_a,
                    uint8_t arg_b, uint32_t arg_c, uint64_t arg_d);
 
+  /// Emit with a timestamp the caller already read (NowNs), so a span's
+  /// events and its phase accounting share one clock read per edge.
+  static void EmitAt(uint64_t ts_ns, TraceEventType type, TraceMark mark,
+                     uint8_t arg_a, uint8_t arg_b, uint32_t arg_c,
+                     uint64_t arg_d);
+
   /// Consumes the calling thread's pending events, keeping those with
   /// `trace_id` (slow-query capture).  Nothing happens if the thread has
   /// never emitted.
@@ -211,8 +218,16 @@ class Tracer {
     return tls_ring_ != nullptr ? tls_ring_->thread_ordinal() : 0;
   }
 
-  /// Nanoseconds since the tracer epoch (process start).
-  static uint64_t NowNs();
+  /// Nanoseconds since the tracer epoch (its first use in the process).
+  /// Inline: every span edge reads it.
+  static uint64_t NowNs() {
+    static const std::chrono::steady_clock::time_point epoch =
+        std::chrono::steady_clock::now();
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - epoch)
+            .count());
+  }
 
  private:
   Tracer() = default;
@@ -229,113 +244,149 @@ class Tracer {
   static thread_local uint32_t tls_trace_id_;
 };
 
-#if !defined(STPQ_DISABLE_TRACING)
+/// Whether emission points are compiled in (STPQ_DISABLE_TRACING clears
+/// it).  Phase accounting does not depend on it.
+#if defined(STPQ_DISABLE_TRACING)
+inline constexpr bool kTracingCompiledIn = false;
+#else
+inline constexpr bool kTracingCompiledIn = true;
+#endif
 
-/// RAII span: emits a begin event now and the matching end event at scope
-/// exit.  When the tracer is idle both ends cost one branch.
+/// The phase each span type's self-time is attributed to.  Span types not
+/// listed (kQuery, kBuildPhase, kAdminRequest) have no phase.
+struct SpanPhase {
+  TraceEventType type;
+  QueryPhase phase;
+};
+inline constexpr SpanPhase kSpanPhases[] = {
+    {TraceEventType::kComponentScore, QueryPhase::kComponentScore},
+    {TraceEventType::kCombinationRound, QueryPhase::kCombination},
+    {TraceEventType::kRetrievalBatch, QueryPhase::kObjectRetrieval},
+    {TraceEventType::kVoronoiCell, QueryPhase::kVoronoi},
+};
+
+/// Index into QueryStats::phase_ms for span type `type`, or
+/// kNumQueryPhases when the type has no phase.
+constexpr size_t SpanPhaseIndex(TraceEventType type) {
+  for (const SpanPhase& entry : kSpanPhases) {
+    if (entry.type == type) return static_cast<size_t>(entry.phase);
+  }
+  return kNumQueryPhases;
+}
+
+/// The one RAII span of every algorithm boundary.  It reads the clock once
+/// at begin and once at end, and from those two reads both accounts its
+/// time in a QueryStats and stamps its begin/end trace events (emitted only
+/// while the tracer is armed).
+///
+/// A span with stats and a phase (SpanPhaseIndex) adds its *self time* —
+/// elapsed minus the time of spans nested in it — to that phase's
+/// `phase_ms` entry, so entries never double-count and sum to at most the
+/// query's total.  A span with stats but no phase is the query span: it
+/// writes its whole elapsed time to `cpu_ms` and, when kQuery is traced,
+/// stamps a fresh trace id on the thread for its duration.  Spans with
+/// stats must close in LIFO order on their thread (automatic with block
+/// scope); one may nest under a span writing to a different QueryStats
+/// (e.g. a cursor drained inside another query), and the parent still
+/// excludes the nested time from its self-time.
+///
+/// A span without stats (external-build phases, admin requests) only
+/// emits events and costs one branch when the tracer is idle; it takes no
+/// part in self-time accounting.
 class TraceSpan {
  public:
+  TraceSpan(QueryStats& stats, TraceEventType type, uint32_t arg_c = 0,
+            uint64_t arg_d = 0)
+      : stats_(&stats),
+        parent_(current_),
+        begin_ns_(Tracer::NowNs()),
+        phase_(static_cast<uint8_t>(SpanPhaseIndex(type))),
+        type_(type) {
+    current_ = this;
+    Begin(arg_c, arg_d);
+  }
+
   explicit TraceSpan(TraceEventType type, uint32_t arg_c = 0,
                      uint64_t arg_d = 0)
-      : type_(type), active_(Tracer::Active()) {
-    if (active_) {
-      Tracer::Emit(type_, TraceMark::kBegin, 0, 0, arg_c, arg_d);
+      : type_(type) {
+    if (kTracingCompiledIn && Tracer::Active()) {
+      begin_ns_ = Tracer::NowNs();
+      Begin(arg_c, arg_d);
     }
   }
 
-  ~TraceSpan() {
-    if (active_) Tracer::Emit(type_, TraceMark::kEnd, 0, 0, 0, 0);
+  ~TraceSpan() { End(); }
+
+  /// Closes the span before scope exit (the destructor then does nothing):
+  /// Engine::Execute needs cpu_ms and the kQuery end event before the
+  /// slow-query log drains the ring.  Must be the innermost open span.
+  void End() {
+    if (stats_ == nullptr && !armed_) return;
+    const uint64_t end_ns = Tracer::NowNs();
+    const uint64_t length = end_ns - begin_ns_;
+    if (stats_ != nullptr) {
+      current_ = parent_;
+      if (parent_ != nullptr) parent_->child_ns_ += length;
+      if (phase_ < kNumQueryPhases) {
+        stats_->phase_ms[phase_] +=
+            NsToMs(length - std::min(length, child_ns_));
+      } else {
+        stats_->cpu_ms = NsToMs(length);
+      }
+      stats_ = nullptr;
+    }
+    if (armed_) {
+      armed_ = false;
+      if (high_water_ > 0) {
+        Tracer::EmitAt(end_ns, TraceEventType::kHeapHighWater,
+                       TraceMark::kInstant, 0, 0, 0, high_water_);
+      }
+      Tracer::EmitAt(end_ns, type_, TraceMark::kEnd, 0, 0, trace_id_, 0);
+      if (trace_id_ != 0) Tracer::SetCurrentTraceId(prev_trace_id_);
+    }
   }
+
+  /// Tracks a search heap's high-water mark; one kHeapHighWater instant
+  /// reports it at span end.  One branch when the tracer is idle.
+  void ObserveHeap(size_t size) {
+    if (armed_ && size > high_water_) high_water_ = size;
+  }
+
+  /// The query span's trace id (0 for other spans or an idle tracer).
+  uint32_t trace_id() const { return trace_id_; }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
  private:
-  TraceEventType type_;
-  bool active_;
-};
+  static double NsToMs(uint64_t ns) { return static_cast<double>(ns) * 1e-6; }
 
-/// RAII query scope: assigns a trace id, stamps it on the thread, and
-/// brackets the query in a kQuery span.  End() may be called early so the
-/// end event lands before slow-query capture drains the ring.
-class TraceQueryScope {
- public:
-  TraceQueryScope() {
-    if (Tracer::Active()) {
-      id_ = Tracer::Global().NextTraceId();
-      prev_ = Tracer::CurrentTraceId();
-      Tracer::SetCurrentTraceId(id_);
-      Tracer::Emit(TraceEventType::kQuery, TraceMark::kBegin, 0, 0, id_, 0);
+  void Begin(uint32_t arg_c, uint64_t arg_d) {
+    if (!kTracingCompiledIn || !Tracer::Active()) return;
+    armed_ = true;
+    if (type_ == TraceEventType::kQuery) {
+      trace_id_ = Tracer::Global().NextTraceId();
+      prev_trace_id_ = Tracer::CurrentTraceId();
+      Tracer::SetCurrentTraceId(trace_id_);
+      arg_c = trace_id_;
     }
+    Tracer::EmitAt(begin_ns_, type_, TraceMark::kBegin, 0, 0, arg_c, arg_d);
   }
 
-  ~TraceQueryScope() { End(); }
+  /// Innermost open span with stats on this thread (nullptr outside any).
+  static inline thread_local TraceSpan* current_ = nullptr;
 
-  void End() {
-    if (id_ != 0 && !ended_) {
-      ended_ = true;
-      Tracer::Emit(TraceEventType::kQuery, TraceMark::kEnd, 0, 0, id_, 0);
-      Tracer::SetCurrentTraceId(prev_);
-    }
-  }
-
-  /// The query's trace id (0 when the tracer was idle at construction).
-  uint32_t id() const { return id_; }
-
-  TraceQueryScope(const TraceQueryScope&) = delete;
-  TraceQueryScope& operator=(const TraceQueryScope&) = delete;
-
- private:
-  uint32_t id_ = 0;
-  uint32_t prev_ = 0;
-  bool ended_ = false;
-};
-
-/// Tracks a search heap's high-water mark and emits one kHeapHighWater
-/// instant at scope exit.  Recording is latched at construction, so an
-/// idle tracer costs one branch per Observe call and nothing at exit.
-class HeapWatermark {
- public:
-  HeapWatermark() : active_(Tracer::Active()) {}
-
-  void Observe(size_t size) {
-    if (active_ && size > high_water_) high_water_ = size;
-  }
-
-  ~HeapWatermark() {
-    if (active_ && high_water_ > 0) {
-      Tracer::Emit(TraceEventType::kHeapHighWater, TraceMark::kInstant, 0, 0,
-                   0, high_water_);
-    }
-  }
-
-  HeapWatermark(const HeapWatermark&) = delete;
-  HeapWatermark& operator=(const HeapWatermark&) = delete;
-
- private:
-  bool active_;
+  QueryStats* stats_ = nullptr;  ///< nullptr once closed or when stats-less
+  TraceSpan* parent_ = nullptr;
+  uint64_t begin_ns_ = 0;
+  uint64_t child_ns_ = 0;  ///< elapsed time of spans nested in this one
   size_t high_water_ = 0;
+  uint32_t trace_id_ = 0;
+  uint32_t prev_trace_id_ = 0;
+  uint8_t phase_ = kNumQueryPhases;
+  TraceEventType type_;
+  bool armed_ = false;  ///< emitting: tracer armed at begin, not yet ended
 };
-
-#else  // STPQ_DISABLE_TRACING
-
-class TraceSpan {
- public:
-  explicit TraceSpan(TraceEventType, uint32_t = 0, uint64_t = 0) {}
-};
-
-class TraceQueryScope {
- public:
-  void End() {}
-  uint32_t id() const { return 0; }
-};
-
-class HeapWatermark {
- public:
-  void Observe(size_t) {}
-};
-
-#endif  // STPQ_DISABLE_TRACING
 
 /// kNodeVisit `tree` value for feature set `ordinal` (clamped below the
 /// object-tree sentinel; real ordinals are bounded by kMaxFeatureSets).
@@ -355,8 +406,7 @@ inline void RecordNodeVisit(QueryStats& stats, uint8_t tree, unsigned level,
                                     ? stats.traversal.object_tree
                                     : stats.traversal.FeatureTree(tree);
   counts.RecordVisit(level, pruned, descended);
-#if !defined(STPQ_DISABLE_TRACING)
-  if (Tracer::Active()) {
+  if (kTracingCompiledIn && Tracer::Active()) {
     const uint32_t verdicts =
         (std::min<uint32_t>(pruned, 0xffff) << 16) |
         std::min<uint32_t>(descended, 0xffff);
@@ -364,7 +414,6 @@ inline void RecordNodeVisit(QueryStats& stats, uint8_t tree, unsigned level,
                  static_cast<uint8_t>(level < 0xff ? level : 0xff), verdicts,
                  node_id);
   }
-#endif
 }
 
 /// One captured slow query: its trace id, latency, final stats, and the
@@ -407,29 +456,14 @@ class SlowQueryLog {
 
 }  // namespace stpq
 
-// Emission macros.  All expand to nothing under STPQ_DISABLE_TRACING.
+// Emission macro.  Expands to nothing under STPQ_DISABLE_TRACING.
 #if defined(STPQ_DISABLE_TRACING)
 
-#define STPQ_TRACE_ACTIVE() false
-#define STPQ_TRACE_SPAN(type, arg_c, arg_d) \
-  do {                                      \
-  } while (false)
 #define STPQ_TRACE_INSTANT(type, arg_a, arg_b, arg_c, arg_d) \
   do {                                                       \
   } while (false)
 
 #else
-
-#define STPQ_TRACE_CAT2(a, b) a##b
-#define STPQ_TRACE_CAT(a, b) STPQ_TRACE_CAT2(a, b)
-
-/// Whether the tracer is recording (hoist out of hot loops).
-#define STPQ_TRACE_ACTIVE() (::stpq::Tracer::Active())
-
-/// Opens a trace span for the rest of the enclosing block.
-#define STPQ_TRACE_SPAN(type, arg_c, arg_d)                 \
-  ::stpq::TraceSpan STPQ_TRACE_CAT(stpq_trace_span_,        \
-                                   __LINE__)(type, arg_c, arg_d)
 
 /// Records one instant event when the tracer is recording.
 #define STPQ_TRACE_INSTANT(type, arg_a, arg_b, arg_c, arg_d)               \

@@ -162,7 +162,7 @@ class RTree {
   /// free list.  Persisting both keeps NodeIds — and therefore page ids and
   /// golden I/O counts — identical across a save/load round trip.
   [[nodiscard]] const std::vector<Node>& nodes() const {
-    MaterializeAll();
+    MaterializeEach();
     return nodes_;
   }
   [[nodiscard]] const std::vector<NodeId>& free_nodes() const {
@@ -189,9 +189,11 @@ class RTree {
   /// Restore variant that defers node payloads: `decoder` fills node `id`
   /// on first access (one file slot read), so opening a large index does
   /// not pull every node segment into memory.  Decoding is memoized per
-  /// node (std::call_once, safe under concurrent readers); structural
-  /// mutation and whole-tree walks (Insert/Delete/nodes()/CheckInvariants)
-  /// materialize everything first and drop back to eager mode.
+  /// node (std::call_once, safe under concurrent readers).  Const
+  /// whole-tree walks (nodes()/CheckInvariants) decode every node through
+  /// the same once flags and keep the lazy state, so they may run beside
+  /// queries (Engine::Save on an opened engine); only structural mutation
+  /// (Insert/Delete) drops back to eager mode.
   void RestoreLazy(uint32_t node_count, std::vector<NodeId> free_nodes,
                    NodeId root, uint32_t height, uint64_t size,
                    std::function<void(NodeId, Node*)> decoder) {
@@ -218,7 +220,7 @@ class RTree {
 
   /// Inserts one record.
   void Insert(const Rect<D>& rect, uint32_t record_id, const Aug& aug = {}) {
-    MaterializeAll();
+    DropLazyState();
     if (root_ == kInvalidNodeId) {
       root_ = NewNode(0);
       height_ = 1;
@@ -235,7 +237,7 @@ class RTree {
   /// (Guttman's Delete with CondenseTree re-insertion).  Returns false if
   /// no such record exists.
   bool Delete(const Rect<D>& rect, uint32_t record_id) {
-    MaterializeAll();
+    DropLazyState();
     if (root_ == kInvalidNodeId) return false;
     path_.clear();
     if (!FindLeaf(root_, rect, record_id)) return false;
@@ -304,7 +306,7 @@ class RTree {
   /// (test hook).  `aug_equal` compares augmentation values.
   template <typename AugEq>
   bool CheckInvariants(AugEq&& aug_equal) const {
-    MaterializeAll();
+    MaterializeEach();
     if (root_ == kInvalidNodeId) return true;
     return CheckNode(root_, height_ - 1, aug_equal);
   }
@@ -318,13 +320,18 @@ class RTree {
     });
   }
 
-  /// Decodes every node and drops back to eager mode, so structural
-  /// mutation (which creates node ids beyond the once-flag array) is safe.
-  /// Not safe concurrently with readers; callers are cold single-threaded
-  /// paths (Save, validators, updates).
-  void MaterializeAll() const {
+  /// Decodes every node through its once flag, leaving the lazy state in
+  /// place: safe concurrently with readers.
+  void MaterializeEach() const {
     if (!node_decoder_) return;
     for (NodeId id = 0; id < nodes_.size(); ++id) MaterializeNode(id);
+  }
+
+  /// Decodes every node and drops back to eager mode, so structural
+  /// mutation (which creates node ids beyond the once-flag array) is safe.
+  /// Mutation is never concurrent with readers.
+  void DropLazyState() {
+    MaterializeEach();
     node_decoder_ = nullptr;
     node_once_.reset();
   }
@@ -655,10 +662,11 @@ class RTree {
   /// Mutable so const readers of a lazily restored tree can decode node
   /// payloads in place (memoized via node_once_).
   mutable std::vector<Node> nodes_;
-  /// Lazy-restore state (RestoreLazy); empty/null on eager trees.
-  mutable std::function<void(NodeId, Node*)> node_decoder_;
-  mutable std::unique_ptr<std::once_flag[]> node_once_;
-  mutable std::unique_ptr<std::atomic<uint64_t>> materialized_nodes_;
+  /// Lazy-restore state (RestoreLazy); empty/null on eager trees.  Only
+  /// Insert/Delete/Restore reset it, never a const member.
+  std::function<void(NodeId, Node*)> node_decoder_;
+  std::unique_ptr<std::once_flag[]> node_once_;
+  std::unique_ptr<std::atomic<uint64_t>> materialized_nodes_;
   std::vector<NodeId> free_nodes_;
   NodeId root_ = kInvalidNodeId;
   uint32_t height_ = 0;

@@ -8,7 +8,13 @@
 // sanitizer job runs.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -279,6 +285,63 @@ TEST(ConcurrencyTest, CountersIndependentOfThreadCount) {
       ExpectIdentical(base.per_query[i], r.per_query[i], i);
     }
   }
+}
+
+std::string ReadAll(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+// Engine::Save on an opened engine walks every (lazily decoded) tree node
+// while queries on other threads decode nodes of the same trees: the walk
+// must decode through the per-node once flags and leave the lazy state in
+// place, and the file must equal a quiescent Save byte for byte.
+TEST(ConcurrencyTest, SaveWhileQueryingOpenedEngine) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("stpq_concurrency_save_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string source = (dir / "source.stpqx").string();
+  const std::string quiet = (dir / "quiet.stpqx").string();
+  const std::string raced = (dir / "raced.stpqx").string();
+
+  Dataset ds = MakeDataset(1'000, 800);
+  const std::vector<Query> queries = MixedWorkload(ds, 30);
+  {
+    Engine built = Engine::Build(ds.objects, std::move(ds.feature_tables), {})
+                       .TakeValue();
+    ASSERT_TRUE(built.Save(source).ok());
+  }
+  {
+    Engine opened = Engine::Open(source).TakeValue();
+    ASSERT_TRUE(opened.Save(quiet).ok());
+  }
+
+  Engine engine = Engine::Open(source).TakeValue();
+  std::atomic<int> started{0};
+  std::atomic<bool> saved{false};
+  auto worker = [&]() {
+    started.fetch_add(1);
+    // At least one full pass, and keep querying until the Save is done.
+    for (size_t pass = 0; pass == 0 || !saved.load(); ++pass) {
+      for (const Query& q : queries) {
+        EXPECT_TRUE(engine.Execute(q, Algorithm::kStps).ok());
+      }
+    }
+  };
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 2; ++t) workers.emplace_back(worker);
+  while (started.load() < 2) std::this_thread::yield();
+  const Status st = engine.Save(raced);
+  saved.store(true);
+  for (std::thread& t : workers) t.join();
+
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  EXPECT_TRUE(ReadAll(raced) == ReadAll(quiet))
+      << "Save under concurrent queries wrote a different file";
+  std::filesystem::remove_all(dir);
 }
 
 // Validation short-circuits the whole batch: nothing executes.

@@ -1,5 +1,5 @@
 // stpq_lint fixture: the raw-clock rule.  Timing must flow through the
-// obs/ layer (Timer, PhaseTimer, Tracer), not raw chrono clocks.
+// obs/ layer (Timer, TraceSpan, Tracer), not raw chrono clocks.
 // Never compiled — linter input only.
 #include <chrono>
 

@@ -18,14 +18,14 @@
 #include "gen/synthetic.h"
 #include "obs/histogram.h"
 #include "obs/metrics_registry.h"
-#include "obs/phase.h"
 #include "obs/query_metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 
 namespace stpq {
 namespace {
 
-// -------------------------------------------------------------- PhaseTimer
+// --------------------------------------------------------------- TraceSpan
 
 /// Burns a little CPU so a span has measurable (nonzero-ish) duration
 /// without sleeping; returns a value to keep the loop alive.
@@ -35,10 +35,10 @@ double Spin(int iters) {
   return x;
 }
 
-TEST(PhaseTimerTest, AttributesToNamedPhase) {
+TEST(TraceSpanTest, AttributesToNamedPhase) {
   QueryStats stats;
   {
-    PhaseTimer t(stats, QueryPhase::kCombination);
+    TraceSpan t(stats, TraceEventType::kCombinationRound);
     Spin(10);
   }
   EXPECT_GT(stats.PhaseMillis(QueryPhase::kCombination), 0.0);
@@ -47,14 +47,14 @@ TEST(PhaseTimerTest, AttributesToNamedPhase) {
   EXPECT_EQ(stats.PhaseMillis(QueryPhase::kVoronoi), 0.0);
 }
 
-TEST(PhaseTimerTest, NestedSpansAttributeSelfTimeOnly) {
+TEST(TraceSpanTest, NestedSpansAttributeSelfTimeOnly) {
   QueryStats stats;
   const auto wall_start = std::chrono::steady_clock::now();
   {
-    PhaseTimer outer(stats, QueryPhase::kObjectRetrieval);
+    TraceSpan outer(stats, TraceEventType::kRetrievalBatch);
     Spin(2);
     {
-      PhaseTimer inner(stats, QueryPhase::kComponentScore);
+      TraceSpan inner(stats, TraceEventType::kComponentScore);
       Spin(50);  // much more work than the outer span's own
     }
     Spin(2);
@@ -76,32 +76,41 @@ TEST(PhaseTimerTest, NestedSpansAttributeSelfTimeOnly) {
   EXPECT_LE(stats.TracedMillis(), wall_ms + 1e-6);
 }
 
-TEST(PhaseTimerTest, ReentrantSamePhaseAccumulates) {
+TEST(TraceSpanTest, ReentrantSamePhaseAccumulates) {
   QueryStats stats;
   for (int i = 0; i < 3; ++i) {
-    PhaseTimer t(stats, QueryPhase::kCombination);
+    TraceSpan t(stats, TraceEventType::kCombinationRound);
     Spin(2);
   }
   EXPECT_GT(stats.PhaseMillis(QueryPhase::kCombination), 0.0);
 }
 
-TEST(PhaseTimerTest, MacroCompilesAndRecords) {
+TEST(TraceSpanTest, EventTypeTableMapsEveryPhase) {
   QueryStats stats;
   {
-    STPQ_TRACE_PHASE(stats, QueryPhase::kVoronoi);
+    TraceSpan t(stats, TraceEventType::kVoronoiCell);
     Spin(5);
   }
   EXPECT_GT(stats.PhaseMillis(QueryPhase::kVoronoi), 0.0);
+  EXPECT_EQ(SpanPhaseIndex(TraceEventType::kComponentScore),
+            static_cast<size_t>(QueryPhase::kComponentScore));
+  EXPECT_EQ(SpanPhaseIndex(TraceEventType::kCombinationRound),
+            static_cast<size_t>(QueryPhase::kCombination));
+  EXPECT_EQ(SpanPhaseIndex(TraceEventType::kRetrievalBatch),
+            static_cast<size_t>(QueryPhase::kObjectRetrieval));
+  EXPECT_EQ(SpanPhaseIndex(TraceEventType::kVoronoiCell),
+            static_cast<size_t>(QueryPhase::kVoronoi));
+  EXPECT_EQ(SpanPhaseIndex(TraceEventType::kQuery), kNumQueryPhases);
 }
 
-TEST(PhaseTimerTest, NestedTimersMayTargetDifferentStats) {
+TEST(TraceSpanTest, NestedSpansMayTargetDifferentStats) {
   // A cursor drained inside another query's span writes to its own stats;
   // the parent still excludes the nested time from its self-time.
   QueryStats parent_stats, child_stats;
   {
-    PhaseTimer parent(parent_stats, QueryPhase::kCombination);
+    TraceSpan parent(parent_stats, TraceEventType::kCombinationRound);
     {
-      PhaseTimer child(child_stats, QueryPhase::kObjectRetrieval);
+      TraceSpan child(child_stats, TraceEventType::kRetrievalBatch);
       Spin(10);
     }
   }
@@ -112,17 +121,17 @@ TEST(PhaseTimerTest, NestedTimersMayTargetDifferentStats) {
             child_stats.PhaseMillis(QueryPhase::kObjectRetrieval));
 }
 
-TEST(PhaseTimerTest, UntracedMillisCoversCrossStatsNesting) {
+TEST(TraceSpanTest, UntracedMillisCoversCrossStatsNesting) {
   // A nested span that writes to a *different* stats object (cursor inside
   // a query) is invisible to the parent's phase breakdown: its time shows
   // up as the parent's untraced remainder, never as negative slack.
   QueryStats parent_stats, child_stats;
   const auto wall_start = std::chrono::steady_clock::now();
   {
-    PhaseTimer parent(parent_stats, QueryPhase::kCombination);
+    TraceSpan parent(parent_stats, TraceEventType::kCombinationRound);
     Spin(2);
     {
-      PhaseTimer child(child_stats, QueryPhase::kObjectRetrieval);
+      TraceSpan child(child_stats, TraceEventType::kRetrievalBatch);
       Spin(50);
     }
     Spin(2);
@@ -137,6 +146,84 @@ TEST(PhaseTimerTest, UntracedMillisCoversCrossStatsNesting) {
   // parent's perspective (loose factor: scheduling noise).
   EXPECT_GE(parent_stats.UntracedMillis(), child_ms * 0.5);
   EXPECT_LE(parent_stats.TracedMillis(), parent_stats.cpu_ms + 1e-6);
+}
+
+TEST(TraceSpanTest, QuerySpanWritesTotalToCpuMs) {
+  QueryStats stats;
+  {
+    TraceSpan query(stats, TraceEventType::kQuery);
+    {
+      TraceSpan phase(stats, TraceEventType::kComponentScore);
+      Spin(10);
+    }
+    query.End();
+    const double cpu_ms = stats.cpu_ms;
+    EXPECT_GT(cpu_ms, 0.0);
+    EXPECT_GE(cpu_ms, stats.TracedMillis());
+    Spin(10);
+    // End() closed the span: the destructor must not overwrite cpu_ms.
+    stats.cpu_ms = -1.0;
+  }
+  EXPECT_EQ(stats.cpu_ms, -1.0);
+}
+
+TEST(TraceSpanTest, TraceTimestampsReproducePhaseSelfTimesExactly) {
+  if (!kTracingCompiledIn) GTEST_SKIP() << "event emission compiled out";
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  QueryStats stats;
+  {
+    TraceSpan outer(stats, TraceEventType::kRetrievalBatch);
+    Spin(2);
+    {
+      TraceSpan inner(stats, TraceEventType::kComponentScore, 3);
+      Spin(10);
+    }
+    Spin(2);
+  }
+  tracer.Stop();
+  TraceCollection collection = tracer.Collect();
+  ASSERT_EQ(collection.threads.size(), 1u);
+  const std::vector<TraceEvent>& e = collection.threads[0].events;
+  ASSERT_EQ(e.size(), 4u);
+  EXPECT_EQ(e[0].type, TraceEventType::kRetrievalBatch);
+  EXPECT_EQ(e[1].type, TraceEventType::kComponentScore);
+  EXPECT_EQ(e[1].arg_c, 3u);
+  EXPECT_EQ(e[2].mark, TraceMark::kEnd);
+  EXPECT_EQ(e[3].mark, TraceMark::kEnd);
+  // The events carry the very clock reads the spans accounted with, so the
+  // self-times a trace consumer derives match phase_ms bit for bit.
+  const uint64_t inner_ns = e[2].ts_ns - e[1].ts_ns;
+  const uint64_t outer_ns = e[3].ts_ns - e[0].ts_ns - inner_ns;
+  EXPECT_EQ(static_cast<double>(inner_ns) * 1e-6,
+            stats.PhaseMillis(QueryPhase::kComponentScore));
+  EXPECT_EQ(static_cast<double>(outer_ns) * 1e-6,
+            stats.PhaseMillis(QueryPhase::kObjectRetrieval));
+  tracer.Discard();
+}
+
+TEST(TraceSpanTest, ObserveHeapEmitsHighWaterAtEnd) {
+  if (!kTracingCompiledIn) GTEST_SKIP() << "event emission compiled out";
+  Tracer& tracer = Tracer::Global();
+  tracer.Discard();
+  tracer.Start();
+  QueryStats stats;
+  {
+    TraceSpan span(stats, TraceEventType::kComponentScore);
+    span.ObserveHeap(3);
+    span.ObserveHeap(9);
+    span.ObserveHeap(4);
+  }
+  tracer.Stop();
+  TraceCollection collection = tracer.Collect();
+  ASSERT_EQ(collection.TotalEvents(), 3u);
+  const std::vector<TraceEvent>& e = collection.threads[0].events;
+  EXPECT_EQ(e[1].type, TraceEventType::kHeapHighWater);
+  EXPECT_EQ(e[1].arg_d, 9u);
+  EXPECT_EQ(e[1].ts_ns, e[2].ts_ns);
+  EXPECT_EQ(e[2].mark, TraceMark::kEnd);
+  tracer.Discard();
 }
 
 TEST(QueryStatsTest, UntracedMillisClampsAtZero) {
@@ -253,10 +340,25 @@ TEST(MetricsRegistryTest, CountersGaugesHistograms) {
   h.Record(10.0);
   LatencyHistogram snap = h.Snapshot();
   EXPECT_EQ(snap.count(), 2u);
-  // Snapshot replays each bucket at its upper bound, so the sum is only
-  // bucket-accurate (each sample overstated by at most 41%).
-  EXPECT_GE(snap.sum_ms(), 11.0);
-  EXPECT_LE(snap.sum_ms(), 11.0 * 1.45);
+  EXPECT_DOUBLE_EQ(snap.sum_ms(), 11.0);
+}
+
+TEST(MetricsRegistryTest, HistogramSnapshotCarriesExactSum) {
+  // The snapshot is built bucket-wise with the recorded sum, not by
+  // replaying samples at bucket upper bounds (which overstated the sum).
+  MetricsRegistry reg;
+  HistogramMetric& h = reg.GetHistogram("exact_ms", "help");
+  h.Record(0.3);
+  h.Record(1.7);
+  h.Record(42.0);
+  const LatencyHistogram snap = h.Snapshot();
+  EXPECT_EQ(snap.count(), 3u);
+  EXPECT_DOUBLE_EQ(snap.sum_ms(), 44.0);
+  for (double ms : {0.3, 1.7, 42.0}) {
+    EXPECT_EQ(snap.bucket_count(LatencyBuckets::IndexFor(ms)), 1u) << ms;
+  }
+  EXPECT_GE(snap.max_ms(), 42.0);
+  EXPECT_LE(snap.PercentileMs(0.5), snap.max_ms());
 }
 
 TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
@@ -681,10 +783,7 @@ TEST(MetricsRecorderTest, ManualSamplesCaptureIntervalDeltas) {
   const LatencyHistogram* h = samples[0].Histogram("stpq_query_cpu_ms");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count(), 2u);
-  // HistogramMetric::Snapshot replays samples at bucket upper bounds, so
-  // the delta's sum is exact only to within the <= 41% bucket width.
-  EXPECT_GE(h->sum_ms(), 3.0);
-  EXPECT_LE(h->sum_ms(), 3.0 * 1.45);
+  EXPECT_DOUBLE_EQ(h->sum_ms(), 3.0);
 
   EXPECT_EQ(samples[1].CounterDelta("stpq_queries_total"), 3u);
   EXPECT_EQ(samples[1].Histogram("stpq_query_cpu_ms")->count(), 0u);

@@ -153,14 +153,15 @@ TEST(TracerTest, StartCollectStopRoundTrip) {
   tracer.Discard();
 }
 
-TEST(TracerTest, TraceQueryScopeBracketsAndRestoresId) {
+TEST(TracerTest, QuerySpanBracketsAndRestoresId) {
   Tracer& tracer = Tracer::Global();
   tracer.Discard();
   tracer.Start();
   {
-    TraceQueryScope scope;
-    EXPECT_NE(scope.id(), 0u);
-    EXPECT_EQ(Tracer::CurrentTraceId(), scope.id());
+    QueryStats stats;
+    TraceSpan query(stats, TraceEventType::kQuery);
+    EXPECT_NE(query.trace_id(), 0u);
+    EXPECT_EQ(Tracer::CurrentTraceId(), query.trace_id());
   }
   EXPECT_EQ(Tracer::CurrentTraceId(), 0u);
   tracer.Stop();

@@ -422,7 +422,7 @@ TEST(VariantEdgeCases, NnVoronoiStatsPopulated) {
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
   QueryResult r = engine.Execute(queries[0], Algorithm::kStps).TakeValue();
   EXPECT_GT(r.stats.voronoi_cells, 0u);
-  EXPECT_GT(r.stats.voronoi_cpu_ms, 0.0);
+  EXPECT_GT(r.stats.PhaseMillis(QueryPhase::kVoronoi), 0.0);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ Clang thread-safety layer in src/util/thread_annotations.h:
                     suppression explaining why no member can be guarded.
   raw-clock         No direct steady_clock/system_clock/
                     high_resolution_clock ::now() outside src/obs/ and
-                    src/util/ — timing flows through Timer, PhaseTimer and
+                    src/util/ — timing flows through Timer, TraceSpan and
                     the Tracer so it can be compiled out and attributed.
   nodiscard-status  Every public function declared in a header that
                     returns Status or Result<T> must be [[nodiscard]].
@@ -777,7 +777,7 @@ def rule_raw_clock(files, findings):
                     rule="raw-clock", file=sf.path, line=ln,
                     symbol=sf.path,
                     message=f"direct {t}::now() outside obs/ and util/; "
-                            "route timing through Timer / PhaseTimer / "
+                            "route timing through Timer / TraceSpan / "
                             "Tracer so it stays attributable and "
                             "compile-out-able",
                     key=f"raw-clock|{sf.path}|{t}#{count[t]}",
