@@ -2,6 +2,7 @@
 // Hilbert transcoding, keyword-set algebra, signatures, R-tree queries,
 // and the buffer pool.
 #include <benchmark/benchmark.h>
+#include <fcntl.h>
 
 #include <filesystem>
 #include <fstream>
@@ -97,7 +98,7 @@ void BM_SignatureMatch(benchmark::State& state) {
   }
   Signature sig = scheme.SetSignature(set);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(scheme.UpperBoundIntersect(sig, query));
+    benchmark::DoNotOptimize(scheme.UpperBoundIntersect(sig.words(), query));
   }
 }
 BENCHMARK(BM_SignatureMatch);
@@ -113,7 +114,7 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
   }
   SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts), 16);
   RTreeOptions opts;
-  opts.max_entries = 64;
+  opts.geometry.max_entries = 64;
   RTree<2> tree(opts);
   tree.BulkLoadSorted(pts);
   uint64_t found = 0;
@@ -121,7 +122,7 @@ void BM_RTreeRangeQuery(benchmark::State& state) {
     double x = rng.Uniform(0, 0.95);
     double y = rng.Uniform(0, 0.95);
     tree.ForEachInRange(MakeRect2(x, y, x + 0.02, y + 0.02),
-                        [&](uint32_t, const Rect2&, const NoAug&) {
+                        [&](uint32_t, const Rect2&) {
                           ++found;
                         });
   }
@@ -132,7 +133,7 @@ BENCHMARK(BM_RTreeRangeQuery)->Arg(10'000)->Arg(100'000);
 void BM_RTreeInsert(benchmark::State& state) {
   Rng rng(6);
   RTreeOptions opts;
-  opts.max_entries = 64;
+  opts.geometry.max_entries = 64;
   for (auto _ : state) {
     state.PauseTiming();
     RTree<2> tree(opts);
@@ -325,8 +326,9 @@ std::unique_ptr<FilePageStore> OpenFixtureStore(uint64_t pages,
     }
     return p;
   }();
-  Result<std::unique_ptr<FilePageStore>> store = FilePageStore::Open(
-      path, {FilePageStore::Extent{0, pages, 0, 4096}}, mode);
+  Result<std::unique_ptr<FilePageStore>> store =
+      FilePageStore::Open(::open(path.c_str(), O_RDONLY | O_CLOEXEC), path,
+                          {FilePageStore::Extent{0, pages, 0, 4096}}, mode);
   return store.TakeValue();
 }
 

@@ -1,5 +1,6 @@
 #include "core/engine.h"
 
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -66,63 +67,12 @@ Result<Engine> Engine::Build(std::vector<DataObject> objects,
   }
   Status st = ValidateOptions(options);
   if (!st.ok()) return st;
-  return Engine(options, std::move(objects), std::move(feature_tables));
-}
-
-Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
-               std::vector<FeatureTable> feature_tables)
-    : options_(std::move(options)),
-      objects_(std::make_unique<std::vector<DataObject>>(std::move(objects))),
-      feature_tables_(std::make_unique<std::vector<FeatureTable>>(
-          std::move(feature_tables))) {
-  for (size_t i = 0; i < objects_->size(); ++i) {
-    (*objects_)[i].id = static_cast<ObjectId>(i);
+  for (size_t i = 0; i < objects.size(); ++i) {
+    objects[i].id = static_cast<ObjectId>(i);
   }
-  page_store_ = std::make_unique<SimulatedPageStore>();
-  object_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
-                                              page_store_.get());
-  feature_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
-                                               page_store_.get());
-
-  ObjectIndexOptions obj_opts;
-  obj_opts.page_size_bytes = options_.storage.page_size;
-  obj_opts.buffer_pool = object_pool_.get();
-  obj_opts.fill = options_.fill;
-  object_index_ = std::make_unique<ObjectIndex>(objects_.get(), obj_opts);
-
-  // Feature indexes share one pool; page_base keeps their page ids apart.
-  for (size_t i = 0; i < feature_tables_->size(); ++i) {
-    FeatureIndexOptions fopts;
-    fopts.page_size_bytes = options_.storage.page_size;
-    fopts.buffer_pool = feature_pool_.get();
-    fopts.page_base = kIndexPageStride * (i + 1);
-    fopts.bulk_load = options_.bulk_load;
-    fopts.fill = options_.fill;
-    fopts.signature_bits = options_.signature_bits;
-    fopts.signature_hashes = options_.signature_hashes;
-    fopts.set_ordinal = static_cast<uint32_t>(i);
-    switch (options_.index_kind) {
-      case FeatureIndexKind::kSrt:
-        feature_indexes_.push_back(
-            std::make_unique<SrtIndex>(&(*feature_tables_)[i], fopts));
-        break;
-      case FeatureIndexKind::kIr2:
-        feature_indexes_.push_back(
-            std::make_unique<Ir2Tree>(&(*feature_tables_)[i], fopts));
-        break;
-    }
-    index_ptrs_.push_back(feature_indexes_.back().get());
-  }
-
-  if (options_.reuse_voronoi_cells) {
-    voronoi_cache_ = std::make_unique<VoronoiCellCache>();
-  }
-
-  // Construction touched the pools; queries start from a clean slate.
-  object_pool_->Clear();
-  object_pool_->ResetStats();
-  feature_pool_->Clear();
-  feature_pool_->ResetStats();
+  return Engine(std::move(options), std::move(objects),
+                std::move(feature_tables),
+                std::make_unique<SimulatedPageStore>(), {});
 }
 
 Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
@@ -142,33 +92,39 @@ Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
   options.storage.page_size = loaded.params.page_size_bytes;
   Status st = ValidateOptions(options);
   if (!st.ok()) return st;
-
-  Result<std::unique_ptr<FilePageStore>> store_r =
-      FilePageStore::Open(path, std::move(loaded.extents));
-  if (!store_r.ok()) return store_r.status();
-  return Engine(std::move(options), std::move(loaded), store_r.TakeValue());
+  return Engine(std::move(options), std::move(loaded.objects),
+                std::move(loaded.feature_tables), std::move(loaded.store),
+                std::move(loaded.trees));
 }
 
-Engine::Engine(EngineOptions options, LoadedIndex loaded,
-               std::unique_ptr<PageStore> store)
+Engine::Engine(EngineOptions options, std::vector<DataObject> objects,
+               std::vector<FeatureTable> feature_tables,
+               std::unique_ptr<PageStore> store,
+               std::vector<RestoredTreeData> restored)
     : options_(std::move(options)),
-      objects_(std::make_unique<std::vector<DataObject>>(
-          std::move(loaded.objects))),
+      objects_(std::make_unique<std::vector<DataObject>>(std::move(objects))),
       feature_tables_(std::make_unique<std::vector<FeatureTable>>(
-          std::move(loaded.feature_tables))) {
-  page_store_ = std::move(store);
+          std::move(feature_tables))),
+      page_store_(std::move(store)) {
   object_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
                                               page_store_.get());
   feature_pool_ = std::make_unique<BufferPool>(options_.storage.pool_capacity,
                                                page_store_.get());
+  // Tree t of the file: 0 the object tree, i + 1 the feature tree of
+  // table i.
+  const auto tree = [&restored](size_t t) -> std::optional<RestoredTreeData> {
+    if (restored.empty()) return std::nullopt;
+    return std::move(restored[t]);
+  };
 
   ObjectIndexOptions obj_opts;
   obj_opts.page_size_bytes = options_.storage.page_size;
   obj_opts.buffer_pool = object_pool_.get();
   obj_opts.fill = options_.fill;
-  object_index_ = std::make_unique<ObjectIndex>(
-      objects_.get(), obj_opts, std::move(loaded.object_tree));
+  object_index_ =
+      std::make_unique<ObjectIndex>(objects_.get(), obj_opts, tree(0));
 
+  // Feature indexes share one pool; page_base keeps their page ids apart.
   for (size_t i = 0; i < feature_tables_->size(); ++i) {
     FeatureIndexOptions fopts;
     fopts.page_size_bytes = options_.storage.page_size;
@@ -182,11 +138,11 @@ Engine::Engine(EngineOptions options, LoadedIndex loaded,
     switch (options_.index_kind) {
       case FeatureIndexKind::kSrt:
         feature_indexes_.push_back(std::make_unique<SrtIndex>(
-            &(*feature_tables_)[i], fopts, std::move(loaded.srt_trees[i])));
+            &(*feature_tables_)[i], fopts, tree(i + 1)));
         break;
       case FeatureIndexKind::kIr2:
         feature_indexes_.push_back(std::make_unique<Ir2Tree>(
-            &(*feature_tables_)[i], fopts, std::move(loaded.ir2_trees[i])));
+            &(*feature_tables_)[i], fopts, tree(i + 1)));
         break;
     }
     index_ptrs_.push_back(feature_indexes_.back().get());
@@ -195,8 +151,8 @@ Engine::Engine(EngineOptions options, LoadedIndex loaded,
   if (options_.reuse_voronoi_cells) {
     voronoi_cache_ = std::make_unique<VoronoiCellCache>();
   }
-  // Restoration reads no pages, but start from an explicit clean slate
-  // like the build path does.
+
+  // Construction touched the pools; queries start from a clean slate.
   object_pool_->Clear();
   object_pool_->ResetStats();
   feature_pool_->Clear();

@@ -33,8 +33,6 @@
 
 namespace stpq {
 
-struct LoadedIndex;  // io/index_file.h
-
 /// Query processing algorithms (Sections 5 and 6).
 enum class Algorithm {
   kStds,  ///< Spatio-Textual Data Scan (baseline)
@@ -208,15 +206,14 @@ class Engine {
   }
 
  private:
-  /// Builds the object index and one feature index per table; `options`
-  /// must already be validated.
+  /// Builds the object index and one feature index per table behind
+  /// `store` (both pools), or — given `restored`, the persisted trees in
+  /// file order (object tree first) — adopts those instead.  `options` must
+  /// already be validated.
   Engine(EngineOptions options, std::vector<DataObject> objects,
-         std::vector<FeatureTable> feature_tables);
-
-  /// Restores indexes from a loaded .stpqx image; `store` (the file's
-  /// FilePageStore) backs both buffer pools.
-  Engine(EngineOptions options, LoadedIndex loaded,
-         std::unique_ptr<PageStore> store);
+         std::vector<FeatureTable> feature_tables,
+         std::unique_ptr<PageStore> store,
+         std::vector<RestoredTreeData> restored);
 
   static Status ValidateOptions(const EngineOptions& options);
 

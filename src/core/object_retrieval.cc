@@ -23,15 +23,17 @@ void CollectObjectsInRange(const ObjectIndex& objects,
   while (!stack.empty() && added < remaining) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const RTree<2>::Node& node = objects.tree().ReadNode(nid);
+    const RTree<2>::View node = objects.tree().ReadNode(nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
-    for (const auto& e : node.entries) {
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      const Rect2 rect = node.rect(i);
+      const uint32_t id = node.id(i);
       if (added >= remaining) break;
       // Prune entries out of range of any real member (Section 6.4).
       bool ok = true;
       for (const Point& t : member_pos) {
-        if (MinSquaredDistance(t, e.rect) > r2) {
+        if (MinSquaredDistance(t, rect) > r2) {
           ok = false;
           break;
         }
@@ -41,11 +43,11 @@ void CollectObjectsInRange(const ObjectIndex& objects,
         continue;
       }
       if (node.IsLeaf()) {
-        if ((*claimed)[e.id]) {
+        if ((*claimed)[id]) {
           ++pruned;
           continue;
         }
-        Point p{e.rect.lo[0], e.rect.lo[1]};
+        Point p{rect.lo[0], rect.lo[1]};
         bool in_range = true;
         for (const Point& t : member_pos) {
           if (SquaredDistance(p, t) > r2) {
@@ -57,17 +59,17 @@ void CollectObjectsInRange(const ObjectIndex& objects,
           ++pruned;
           continue;
         }
-        (*claimed)[e.id] = true;
+        (*claimed)[id] = true;
         ++stats.objects_scored;
-        result->push_back(ResultEntry{e.id, score});
+        result->push_back(ResultEntry{id, score});
         ++added;
         ++descended;
       } else {
-        stack.push_back(e.id);
+        stack.push_back(id);
         ++descended;
       }
     }
-    RecordNodeVisit(stats, kTraceObjectTree, node.level, nid, pruned,
+    RecordNodeVisit(stats, kTraceObjectTree, node.level(), nid, pruned,
                     descended);
   }
 }

@@ -63,20 +63,22 @@ std::vector<ScoredObject> TopKInfluenceObjects(
       ++stats.objects_scored;
       continue;
     }
-    const RTree<2>::Node& node = objects.tree().ReadNode(top.id);
+    const RTree<2>::View node = objects.tree().ReadNode(top.id);
     uint32_t pruned = 0;
     uint32_t descended = 0;
-    for (const auto& e : node.entries) {
-      double pri = bound_for(e.rect, node.IsLeaf());
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      const Rect2 rect = node.rect(i);
+      const uint32_t id = node.id(i);
+      double pri = bound_for(rect, node.IsLeaf());
       if (pri < stop_threshold) {
         ++pruned;
         continue;
       }
-      heap.push({pri, e.id, node.IsLeaf()});
+      heap.push({pri, id, node.IsLeaf()});
       ++descended;
       ++stats.heap_pushes;
     }
-    RecordNodeVisit(stats, kTraceObjectTree, node.level, top.id, pruned,
+    RecordNodeVisit(stats, kTraceObjectTree, node.level(), top.id, pruned,
                     descended);
     span.ObserveHeap(heap.size());
   }
@@ -231,17 +233,19 @@ std::vector<ObjectId> NearestObjects(const ObjectIndex& objects,
       out.push_back(top.id);
       continue;
     }
-    const RTree<2>::Node& node = objects.tree().ReadNode(top.id);
-    for (const auto& e : node.entries) {
-      Point lo{e.rect.lo[0], e.rect.lo[1]};
+    const RTree<2>::View node = objects.tree().ReadNode(top.id);
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      const Rect2 rect = node.rect(i);
+      const uint32_t id = node.id(i);
+      Point lo{rect.lo[0], rect.lo[1]};
       double d2 = node.IsLeaf() ? SquaredDistance(center, lo)
-                                : MinSquaredDistance(center, e.rect);
-      heap.push({d2, e.id, node.IsLeaf()});
+                                : MinSquaredDistance(center, rect);
+      heap.push({d2, id, node.IsLeaf()});
       ++stats.heap_pushes;
     }
     // Incremental NN expands everything it reads: nothing is pruned.
-    RecordNodeVisit(stats, kTraceObjectTree, node.level, top.id, 0,
-                    static_cast<uint32_t>(node.entries.size()));
+    RecordNodeVisit(stats, kTraceObjectTree, node.level(), top.id, 0,
+                    node.count());
     span.ObserveHeap(heap.size());
   }
   return out;

@@ -35,36 +35,38 @@ void CollectObjectsInRegion(const ObjectIndex& objects,
   while (!stack.empty() && added < remaining) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const RTree<2>::Node& node = objects.tree().ReadNode(nid);
+    const RTree<2>::View node = objects.tree().ReadNode(nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
-    for (const auto& e : node.entries) {
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      const Rect2 rect = node.rect(i);
+      const uint32_t id = node.id(i);
       if (added >= remaining) break;
-      if (!bbox.Intersects(e.rect)) {
+      if (!bbox.Intersects(rect)) {
         ++pruned;
         continue;
       }
       if (node.IsLeaf()) {
-        if ((*claimed)[e.id]) {
+        if ((*claimed)[id]) {
           ++pruned;
           continue;
         }
-        Point p{e.rect.lo[0], e.rect.lo[1]};
+        Point p{rect.lo[0], rect.lo[1]};
         if (!region.Contains(p)) {
           ++pruned;
           continue;
         }
-        (*claimed)[e.id] = true;
+        (*claimed)[id] = true;
         ++stats.objects_scored;
-        result->push_back(ResultEntry{e.id, score});
+        result->push_back(ResultEntry{id, score});
         ++added;
         ++descended;
       } else {
-        stack.push_back(e.id);
+        stack.push_back(id);
         ++descended;
       }
     }
-    RecordNodeVisit(stats, kTraceObjectTree, node.level, nid, pruned,
+    RecordNodeVisit(stats, kTraceObjectTree, node.level(), nid, pruned,
                     descended);
   }
 }

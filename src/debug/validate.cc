@@ -23,13 +23,13 @@ std::string Num(uint64_t v) { return std::to_string(v); }
 template <int D, typename Aug>
 void CollectLeavesInOrder(const RTree<D, Aug>& tree, NodeId nid,
                           std::vector<typename RTree<D, Aug>::Entry>* out) {
-  const auto& node = tree.PeekNode(nid);
-  if (node.IsLeaf()) {
-    out->insert(out->end(), node.entries.begin(), node.entries.end());
-    return;
-  }
+  const auto node = tree.PeekNode(nid);
   for (const auto& e : node.entries) {
-    CollectLeavesInOrder(tree, e.id, out);
+    if (node.IsLeaf()) {
+      out->push_back(e);
+    } else {
+      CollectLeavesInOrder(tree, e.id, out);
+    }
   }
 }
 
@@ -95,46 +95,43 @@ Status ValidateSrtIndex(const SrtIndex& index) {
 
   std::vector<uint32_t> seen(table.size(), 0);
 
-  auto summary_check = [](const RTree<4, SrtAug>::Entry& parent,
-                          const RTree<4, SrtAug>::Entry& child) {
+  const uint32_t universe = table.universe_size();
+  auto summary_check = [universe](const RTree<4, SrtAug>::Entry& parent,
+                                  const RTree<4, SrtAug>::Entry& child) {
     if (parent.aug.max_score < child.aug.max_score) {
       return Status::Internal("aggregate score bound " +
                               Num(parent.aug.max_score) +
                               " does not dominate child score " +
                               Num(child.aug.max_score));
     }
-    if (parent.aug.keywords.universe_size() !=
-        child.aug.keywords.universe_size()) {
-      return Status::Internal("keyword universe mismatch between parent and "
-                              "child augmentation");
-    }
-    if (parent.aug.keywords.IntersectCount(child.aug.keywords) !=
-        child.aug.keywords.Count()) {
+    const KeywordSet parent_kw =
+        DecodeKeywords(parent.aug.keyword_hilbert, universe);
+    const KeywordSet child_kw =
+        DecodeKeywords(child.aug.keyword_hilbert, universe);
+    if (parent_kw.IntersectCount(child_kw) != child_kw.Count()) {
       return Status::Internal(
           "node keyword set W is not a superset of its child's (child has " +
-          Num(static_cast<uint64_t>(child.aug.keywords.Count())) +
-          " keywords, only " +
-          Num(static_cast<uint64_t>(
-              parent.aug.keywords.IntersectCount(child.aug.keywords))) +
+          Num(static_cast<uint64_t>(child_kw.Count())) + " keywords, only " +
+          Num(static_cast<uint64_t>(parent_kw.IntersectCount(child_kw))) +
           " covered)");
     }
     return Status::OK();
   };
 
   auto entry_check = [&](const RTree<4, SrtAug>::Entry& e, bool is_leaf) {
-    if (e.aug.keywords.universe_size() != table.universe_size()) {
+    if (e.aug.keyword_hilbert.bits() != universe) {
       return Status::Internal(
-          "augmentation keyword universe " +
-          Num(static_cast<uint64_t>(e.aug.keywords.universe_size())) +
-          " != table universe " +
-          Num(static_cast<uint64_t>(table.universe_size())));
+          "augmentation Hilbert width " +
+          Num(static_cast<uint64_t>(e.aug.keyword_hilbert.bits())) +
+          " != table universe " + Num(static_cast<uint64_t>(universe)));
     }
-    // The cached decoded keyword set and the stored aggregated Hilbert
-    // value must describe the same set (Section 4.2 keeps them in sync).
-    if (EncodeKeywords(e.aug.keywords) != e.aug.keyword_hilbert) {
+    // EncodeKeywords zeroes the bits past the universe; a stored value
+    // with any of them set decodes to a set it is not the encoding of.
+    if (EncodeKeywords(DecodeKeywords(e.aug.keyword_hilbert, universe)) !=
+        e.aug.keyword_hilbert) {
       return Status::Internal(
-          "aggregated Hilbert value is not the encoding of the cached "
-          "keyword set (stale e.W cache)");
+          "aggregated Hilbert value is not canonical: bits are set past "
+          "the keyword universe");
     }
     // Dimension 2 of the mapped 4-D space is the non-spatial score.
     if (e.rect.lo[2] < 0.0 || e.rect.hi[2] > 1.0) {
@@ -167,7 +164,7 @@ Status ValidateSrtIndex(const SrtIndex& index) {
                               Num(e.aug.max_score) + " != feature score " +
                               Num(f.score));
     }
-    if (!(e.aug.keywords == f.keywords)) {
+    if (!(e.aug.keyword_hilbert == hv)) {
       return Status::Internal("leaf augmentation keywords differ from "
                               "feature " +
                               Num(static_cast<uint64_t>(e.id)) +

@@ -71,7 +71,8 @@ template <int D, typename Aug, typename SummaryCheck, typename EntryCheck>
 Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
                      EntryCheck&& entry_check) {
   using Tree = RTree<D, Aug>;
-  using Node = typename Tree::Node;
+  using View = typename Tree::View;
+  using Entry = typename Tree::Entry;
   using validate_internal::ChildPath;
   using validate_internal::FormatRect;
 
@@ -115,27 +116,28 @@ Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
     }
     visited[frame.id] = true;
 
-    const Node& node = tree.PeekNode(frame.id);
-    if (node.level != frame.expected_level) {
+    const View node = tree.PeekView(frame.id);
+    const uint32_t max_entries = tree.options().geometry.max_entries;
+    if (node.level() != frame.expected_level) {
       return Status::Internal(
-          frame.path + ": node level " + std::to_string(node.level) +
+          frame.path + ": node level " + std::to_string(node.level()) +
           " does not match expected depth level " +
           std::to_string(frame.expected_level) +
           " (leaf depth must be uniform)");
     }
-    if (node.entries.empty()) {
+    if (node.count() == 0) {
       return Status::Internal(frame.path + ": node has no entries");
     }
-    if (node.entries.size() > tree.options().max_entries) {
+    if (node.count() > max_entries) {
       return Status::Internal(
-          frame.path + ": node holds " + std::to_string(node.entries.size()) +
-          " entries, above max_entries " +
-          std::to_string(tree.options().max_entries));
+          frame.path + ": node holds " + std::to_string(node.count()) +
+          " entries, above max_entries " + std::to_string(max_entries));
     }
 
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      const auto& e = node.entries[i];
-      Status entry_st = entry_check(e, node.IsLeaf());
+    // The header is sound, so the entries can be decoded.
+    const std::vector<Entry> entries = tree.PeekNode(frame.id).entries;
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      Status entry_st = entry_check(entries[i], node.IsLeaf());
       if (!entry_st.ok()) {
         return Status::Internal(frame.path + "[e" + std::to_string(i) +
                                 "]: " + entry_st.message());
@@ -143,27 +145,27 @@ Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
     }
 
     if (node.IsLeaf()) {
-      leaf_records += node.entries.size();
+      leaf_records += node.count();
       continue;
     }
 
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      const auto& e = node.entries[i];
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      const Entry& e = entries[i];
       if (e.id >= tree.node_count()) {
         return Status::Internal(frame.path + "[e" + std::to_string(i) +
                                 "]: child node id " + std::to_string(e.id) +
                                 " out of range");
       }
-      const Node& child = tree.PeekNode(e.id);
+      const uint32_t child_count = tree.PeekView(e.id).count();
       const std::string child_path = ChildPath(frame.path, e.id, i);
-      if (child.entries.empty()) {
-        return Status::Internal(child_path + ": child node has no entries");
+      if (child_count == 0 || child_count > max_entries) {
+        return Status::Internal(child_path + ": child node holds " +
+                                std::to_string(child_count) + " entries");
       }
+      const std::vector<Entry> child = tree.PeekNode(e.id).entries;
       // The parent entry's MBR must be the exact union of the child's MBRs.
-      Rect<D> unioned = child.entries.front().rect;
-      for (size_t j = 1; j < child.entries.size(); ++j) {
-        unioned.Enlarge(child.entries[j].rect);
-      }
+      Rect<D> unioned = child[0].rect;
+      for (uint32_t j = 1; j < child_count; ++j) unioned.Enlarge(child[j].rect);
       for (int d = 0; d < D; ++d) {
         if (unioned.lo[d] != e.rect.lo[d] || unioned.hi[d] != e.rect.hi[d]) {
           return Status::Internal(
@@ -172,8 +174,8 @@ Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
               " of the child's entry MBRs (dim " + std::to_string(d) + ")");
         }
       }
-      for (size_t j = 0; j < child.entries.size(); ++j) {
-        Status st = summary_check(e, child.entries[j]);
+      for (uint32_t j = 0; j < child_count; ++j) {
+        Status st = summary_check(e, child[j]);
         if (!st.ok()) {
           return Status::Internal(child_path + "[e" + std::to_string(j) +
                                   "]: " + st.message());
@@ -211,9 +213,10 @@ Status ValidateRTree(const RTree<D, Aug>& tree) {
 
 /// SRT-index validation (Section 4 invariants): R-tree structure, per-entry
 /// aggregate score upper bounds dominating children, node keyword sets
-/// supersets of their children, Hilbert/keyword-cache consistency, leaf
-/// entries matching the feature table, and — for Hilbert bulk loads —
-/// non-decreasing Hilbert keys across the leaf level.
+/// supersets of their children, Hilbert values in canonical form (no bits
+/// beyond the keyword universe), leaf entries matching the feature table,
+/// and — for Hilbert bulk loads — non-decreasing Hilbert keys across the
+/// leaf level.
 [[nodiscard]] Status ValidateSrtIndex(const SrtIndex& index);
 
 /// Modified IR2-tree validation: R-tree structure, max-score dominance,

@@ -8,16 +8,6 @@ namespace stpq {
 
 namespace {
 
-uint64_t BitReverse64(uint64_t v) {
-  v = ((v >> 1) & 0x5555555555555555ULL) | ((v & 0x5555555555555555ULL) << 1);
-  v = ((v >> 2) & 0x3333333333333333ULL) | ((v & 0x3333333333333333ULL) << 2);
-  v = ((v >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((v & 0x0F0F0F0F0F0F0F0FULL) << 4);
-  v = ((v >> 8) & 0x00FF00FF00FF00FFULL) | ((v & 0x00FF00FF00FF00FFULL) << 8);
-  v = ((v >> 16) & 0x0000FFFF0000FFFFULL) |
-      ((v & 0x0000FFFF0000FFFFULL) << 16);
-  return (v >> 32) | (v << 32);
-}
-
 /// Prefix-XOR from the MSB downward within one word: output bit j becomes
 /// the parity of input bits 63..j.
 uint64_t PrefixXorMsbFirst(uint64_t v) {

@@ -14,11 +14,13 @@
 #ifndef STPQ_HILBERT_KEYWORD_HILBERT_H_
 #define STPQ_HILBERT_KEYWORD_HILBERT_H_
 
+#include <algorithm>
 #include <compare>
 #include <cstdint>
 #include <vector>
 
 #include "text/keyword_set.h"
+#include "util/word_view.h"
 
 namespace stpq {
 
@@ -59,6 +61,50 @@ KeywordSet DecodeKeywords(const HilbertValue& value, uint32_t universe_size);
 /// to binary vectors, OR-ed, and the disjunction is re-encoded.
 HilbertValue AggregateHilbert(const HilbertValue& a, const HilbertValue& b,
                               uint32_t universe_size);
+
+/// Bit i of the result is bit 63 - i of `v`.
+inline uint64_t BitReverse64(uint64_t v) {
+  v = ((v >> 1) & 0x5555555555555555ULL) | ((v & 0x5555555555555555ULL) << 1);
+  v = ((v >> 2) & 0x3333333333333333ULL) | ((v & 0x3333333333333333ULL) << 2);
+  v = ((v >> 4) & 0x0F0F0F0F0F0F0F0FULL) | ((v & 0x0F0F0F0F0F0F0F0FULL) << 4);
+  v = ((v >> 8) & 0x00FF00FF00FF00FFULL) | ((v & 0x00FF00FF00FF00FFULL) << 8);
+  v = ((v >> 16) & 0x0000FFFF0000FFFFULL) |
+      ((v & 0x0000FFFF0000FFFFULL) << 16);
+  return (v >> 32) | (v << 32);
+}
+
+/// std::popcount without its library call: the build targets baseline
+/// x86-64, which has no POPCNT instruction, and this count runs once per
+/// internal SRT entry a query visits.
+inline uint32_t PopCount64(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<uint32_t>((x * 0x0101010101010101ULL) >> 56);
+}
+
+/// |DecodeKeywords(h) n query| counted on the words of a Hilbert value h
+/// over the query's universe, in place, without decoding h:
+///
+///   |Gray^-1(h) n q| = sum_i popcount((h_i ^ (h_i >> 1 | carry << 63))
+///                                     & bitreverse(q_i))
+///
+/// where carry is bit 0 of word i - 1 (DecodeKeywords' inverse transform)
+/// and bitreverse maps the query's LSB-first blocks into the Hilbert
+/// value's MSB-first order.
+inline uint32_t HilbertIntersectCount(WordView h, const KeywordSet& query) {
+  const std::vector<uint64_t>& q = query.blocks();
+  const uint32_t n = std::min(h.size(), static_cast<uint32_t>(q.size()));
+  uint32_t count = 0;
+  uint64_t carry = 0;  // previous word's bit 0
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint64_t word = h[i];
+    const uint64_t v = word ^ ((word >> 1) | (carry << 63));
+    carry = word & 1u;
+    count += PopCount64(v & BitReverse64(q[i]));
+  }
+  return count;
+}
 
 }  // namespace stpq
 

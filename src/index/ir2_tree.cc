@@ -29,6 +29,7 @@ TreeGeometry Ir2Tree::Geometry(uint32_t page_size_bytes,
   // fan-out charges only the raw signature bytes.
   g.aug_bytes = 8 + 8 * g.aug_words;
   g.max_entries = FanOutForPage(page_size_bytes, 2, 8 + g.aug_bits / 8);
+  g.page_size = page_size_bytes;
   return g;
 }
 
@@ -39,46 +40,25 @@ RTree<2, Ir2Aug>::Entry Ir2Tree::LeafEntry(const SignatureScheme& scheme,
           Ir2Aug{f.score, scheme.SetSignature(f.keywords)}};
 }
 
-Ir2Tree::Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options)
+Ir2Tree::Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options,
+                 std::optional<RestoredTreeData> restored)
     : FeatureIndex(options.set_ordinal),
       table_(table),
       scheme_(GeometryFor(options, *table).aug_bits, options.signature_hashes),
       tree_(TreeOptionsFor(options, GeometryFor(options, *table))) {
+  if (restored.has_value()) {
+    tree_.Adopt(std::move(*restored));
+    STPQ_VALIDATE(ValidateIr2Tree(*this));
+    return;
+  }
   using Entry = RTree<2, Ir2Aug>::Entry;
   std::vector<Entry> records;
   records.reserve(table_->size());
   for (const FeatureObject& f : table_->All()) {
     records.push_back(LeafEntry(scheme_, f, f.id));
   }
-  switch (options.bulk_load) {
-    case BulkLoadKind::kHilbert: {
-      // Spatial-only Hilbert packing: the IR2-tree clusters by location.
-      Rect2 domain = ComputeDomain<2, Ir2Aug>(records);
-      SortByHilbertKey<2, Ir2Aug>(&records, domain, kHilbertBitsPerDim);
-      tree_.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kStr: {
-      SortSTR<2, Ir2Aug>(&records, tree_.options().max_entries);
-      tree_.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kInsert: {
-      for (const Entry& r : records) tree_.Insert(r.rect, r.id, r.aug);
-      break;
-    }
-  }
-  STPQ_VALIDATE(ValidateIr2Tree(*this));
-}
-
-Ir2Tree::Ir2Tree(const FeatureTable* table,
-                 const FeatureIndexOptions& options,
-                 RestoredTreeData<2, Ir2Aug> restored)
-    : FeatureIndex(options.set_ordinal),
-      table_(table),
-      scheme_(GeometryFor(options, *table).aug_bits, options.signature_hashes),
-      tree_(TreeOptionsFor(options, GeometryFor(options, *table))) {
-  AdoptRestoredTree(&tree_, std::move(restored));
+  // Spatial-only Hilbert packing: the IR2-tree clusters by location.
+  BuildTree(&tree_, &records, options.bulk_load, options.fill);
   STPQ_VALIDATE(ValidateIr2Tree(*this));
 }
 
@@ -92,29 +72,37 @@ void Ir2Tree::VisitChildren(NodeId node_id, const KeywordSet& query_kw,
                             double lambda,
                             std::vector<FeatureBranch>* out) const {
   out->clear();
-  const RTree<2, Ir2Aug>::Node& node = tree_.ReadNode(node_id);
-  const uint32_t query_count = query_kw.Count();
-  out->reserve(node.entries.size());
-  for (const auto& e : node.entries) {
-    FeatureBranch b;
-    b.id = e.id;
-    b.is_feature = node.IsLeaf();
-    b.mbr = e.rect;
-    if (b.is_feature) {
-      const FeatureObject& f = table_->Get(e.id);
-      double sim = f.keywords.Jaccard(query_kw);
+  const RTree<2, Ir2Aug>::View node = tree_.ReadNode(node_id);
+  const uint32_t n = node.count();
+  out->resize(n);
+  FeatureBranch* branches = out->data();
+  for (uint32_t i = 0; i < n; ++i) {
+    branches[i].id = node.id(i);
+    branches[i].mbr = node.rect(i);
+  }
+  if (node.IsLeaf()) {
+    for (FeatureBranch& b : *out) {
+      const FeatureObject& f = table_->Get(b.id);
+      const double sim = f.keywords.Jaccard(query_kw);
+      b.is_feature = true;
       b.score_bound = (1.0 - lambda) * f.score + lambda * sim;
       b.text_match = sim > 0.0;
-    } else {
-      uint32_t inter = scheme_.UpperBoundIntersect(e.aug.signature, query_kw);
-      double text_bound =
-          query_count > 0
-              ? static_cast<double>(inter) / static_cast<double>(query_count)
-              : 0.0;
-      b.score_bound = (1.0 - lambda) * e.aug.max_score + lambda * text_bound;
-      b.text_match = inter > 0;
     }
-    out->push_back(std::move(b));
+    return;
+  }
+  const uint32_t query_count = query_kw.Count();
+  for (uint32_t i = 0; i < n; ++i) {
+    FeatureBranch& b = branches[i];
+    // The signature words are read in place from the slot.
+    const uint32_t inter =
+        scheme_.UpperBoundIntersect(node.aug_words(i), query_kw);
+    const double text_bound =
+        query_count > 0
+            ? static_cast<double>(inter) / static_cast<double>(query_count)
+            : 0.0;
+    b.is_feature = false;
+    b.score_bound = (1.0 - lambda) * node.max_score(i) + lambda * text_bound;
+    b.text_match = inter > 0;
   }
 }
 

@@ -9,6 +9,7 @@
 #ifndef STPQ_INDEX_IR2_TREE_H_
 #define STPQ_INDEX_IR2_TREE_H_
 
+#include <optional>
 #include <vector>
 
 #include "index/feature_index.h"
@@ -30,17 +31,27 @@ struct Ir2Aug {
   }
 };
 
+/// Ir2Aug's slot payload: {max score, signature words}.
+template <>
+struct AugCodec<Ir2Aug> : ScoredWordsCodec {
+  static void Encode(const TreeGeometry& g, const Ir2Aug& aug, char* out) {
+    Put(g, aug.max_score, aug.signature.words(), out);
+  }
+  static Ir2Aug Decode(const TreeGeometry& g, const char* in) {
+    return Ir2Aug{MaxScore(in),
+                  Signature::FromWords(g.aug_bits, CopyWords(g, in))};
+  }
+};
+
 /// The modified IR2-tree over one feature set.
 class Ir2Tree : public FeatureIndex {
  public:
-  /// Builds the index over `table` (not owned; must outlive the index).
-  Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options);
-
-  /// Restores a persisted index (storage/index_file.*); see the SrtIndex
-  /// counterpart.  The signature scheme is re-derived from `options` and
-  /// the table's universe, which the file format records.
+  /// Builds the index over `table` (not owned; must outlive the index), or
+  /// adopts a persisted tree as the SrtIndex counterpart does.  The
+  /// signature scheme is re-derived from `options` and the table's
+  /// universe, which the file format records.
   Ir2Tree(const FeatureTable* table, const FeatureIndexOptions& options,
-          RestoredTreeData<2, Ir2Aug> restored);
+          std::optional<RestoredTreeData> restored = std::nullopt);
 
   /// Page geometry for a configured signature width (0 = scale with the
   /// universe) over a keyword universe of `universe_size` terms.
@@ -55,7 +66,7 @@ class Ir2Tree : public FeatureIndex {
 
   NodeId RootId() const override;
   uint16_t NodeLevel(NodeId node_id) const override {
-    return tree_.PeekNode(node_id).level;
+    return tree_.PeekView(node_id).level();
   }
   void VisitChildren(NodeId node_id, const KeywordSet& query_kw,
                      double lambda,

@@ -9,34 +9,29 @@ namespace stpq {
 TreeGeometry ObjectIndex::Geometry(uint32_t page_size_bytes) {
   TreeGeometry g;
   g.max_entries = FanOutForPage(page_size_bytes, 2, /*aug_bytes=*/0);
+  g.page_size = page_size_bytes;
   return g;
 }
 
 ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
-                         const ObjectIndexOptions& options)
-    : objects_(objects),
-      tree_(TreeOptionsFor(options, Geometry(options.page_size_bytes))) {
-  using Entry = RTree<2>::Entry;
-  std::vector<Entry> records;
-  records.reserve(objects_->size());
-  for (size_t i = 0; i < objects_->size(); ++i) {
-    records.push_back(
-        Entry{PointRect((*objects_)[i].pos), static_cast<uint32_t>(i), {}});
-  }
-  domain_ = ComputeDomain<2, NoAug>(records);
-  SortByHilbertKey<2, NoAug>(&records, domain_, kHilbertBitsPerDim);
-  tree_.BulkLoadSorted(records, options.fill);
-  STPQ_VALIDATE(ValidateObjectIndex(*this));
-}
-
-ObjectIndex::ObjectIndex(const std::vector<DataObject>* objects,
                          const ObjectIndexOptions& options,
-                         RestoredTreeData<2, NoAug> restored)
+                         std::optional<RestoredTreeData> restored)
     : objects_(objects),
       tree_(TreeOptionsFor(options, Geometry(options.page_size_bytes))) {
-  AdoptRestoredTree(&tree_, std::move(restored));
-  domain_ = Rect2::Empty();
   for (const DataObject& o : *objects_) domain_.Enlarge(PointRect(o.pos));
+  if (restored.has_value()) {
+    tree_.Adopt(std::move(*restored));
+  } else {
+    using Entry = RTree<2>::Entry;
+    std::vector<Entry> records;
+    records.reserve(objects_->size());
+    for (size_t i = 0; i < objects_->size(); ++i) {
+      records.push_back(
+          Entry{PointRect((*objects_)[i].pos), static_cast<uint32_t>(i), {}});
+    }
+    SortByHilbertKey<2, NoAug>(&records, domain_, kHilbertBitsPerDim);
+    tree_.BulkLoadSorted(records, options.fill);
+  }
   STPQ_VALIDATE(ValidateObjectIndex(*this));
 }
 
@@ -55,29 +50,31 @@ std::vector<ObjectId> ObjectIndex::RangeQuery(const Point& center,
   while (!stack.empty()) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const RTree<2>::Node& node = tree_.ReadNode(nid);
+    const RTree<2>::View node = tree_.ReadNode(nid);
     uint32_t pruned = 0;
     uint32_t descended = 0;
-    for (const auto& e : node.entries) {
-      if (!box.Intersects(e.rect)) {
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      const Rect2 rect = node.rect(i);
+      const uint32_t id = node.id(i);
+      if (!box.Intersects(rect)) {
         ++pruned;
         continue;
       }
       if (node.IsLeaf()) {
-        Point p{e.rect.lo[0], e.rect.lo[1]};
+        Point p{rect.lo[0], rect.lo[1]};
         if (SquaredDistance(p, center) <= r2) {
-          out.push_back(e.id);
+          out.push_back(id);
           ++descended;
         } else {
           ++pruned;
         }
       } else {
-        stack.push_back(e.id);
+        stack.push_back(id);
         ++descended;
       }
     }
     if (stats != nullptr) {
-      RecordNodeVisit(*stats, kTraceObjectTree, node.level, nid, pruned,
+      RecordNodeVisit(*stats, kTraceObjectTree, node.level(), nid, pruned,
                       descended);
     }
   }
@@ -93,22 +90,22 @@ void ObjectIndex::ForEachLeafBlock(
   while (!stack.empty()) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const RTree<2>::Node& node = tree_.ReadNode(nid);
+    const RTree<2>::View node = tree_.ReadNode(nid);
     if (node.IsLeaf()) {
       ids.clear();
       Rect2 mbr = Rect2::Empty();
-      for (const auto& e : node.entries) {
-        ids.push_back(e.id);
-        mbr.Enlarge(e.rect);
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        ids.push_back(node.id(i));
+        mbr.Enlarge(node.rect(i));
       }
       fn(ids, mbr);
     } else {
-      for (const auto& e : node.entries) stack.push_back(e.id);
+      for (uint32_t i = 0; i < node.count(); ++i) stack.push_back(node.id(i));
     }
     if (stats != nullptr) {
       // A full scan prunes nothing: every entry is handed on.
-      RecordNodeVisit(*stats, kTraceObjectTree, node.level, nid, 0,
-                      static_cast<uint32_t>(node.entries.size()));
+      RecordNodeVisit(*stats, kTraceObjectTree, node.level(), nid, 0,
+                      node.count());
     }
   }
 }

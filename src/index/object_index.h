@@ -3,6 +3,7 @@
 #define STPQ_INDEX_OBJECT_INDEX_H_
 
 #include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -23,16 +24,12 @@ struct ObjectIndexOptions {
 /// 2-D R-tree over data objects, Hilbert bulk-loaded.
 class ObjectIndex {
  public:
-  /// Builds over `objects` (not owned; must outlive the index).
-  ObjectIndex(const std::vector<DataObject>* objects,
-              const ObjectIndexOptions& options);
-
-  /// Restores a persisted index (storage/index_file.*): adopts the
-  /// deserialized tree instead of bulk loading and recomputes the spatial
-  /// domain from `objects` (deterministic, so it matches the builder).
+  /// Builds over `objects` (not owned; must outlive the index), or adopts
+  /// `restored`, a persisted tree (io/index_file.*), instead of bulk
+  /// loading.  The spatial domain is computed from `objects` either way.
   ObjectIndex(const std::vector<DataObject>* objects,
               const ObjectIndexOptions& options,
-              RestoredTreeData<2, NoAug> restored);
+              std::optional<RestoredTreeData> restored = std::nullopt);
 
   /// Page geometry: a plain 2-D R-tree, no augmentation.
   static TreeGeometry Geometry(uint32_t page_size_bytes);

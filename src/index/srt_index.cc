@@ -14,6 +14,7 @@ TreeGeometry SrtIndex::Geometry(uint32_t page_size_bytes,
   g.aug_words = (universe_size + 63) / 64;
   g.aug_bytes = 8 + 8 * g.aug_words;
   g.max_entries = FanOutForPage(page_size_bytes, 4, g.aug_bytes);
+  g.page_size = page_size_bytes;
   return g;
 }
 
@@ -22,52 +23,30 @@ RTree<4, SrtAug>::Entry SrtIndex::LeafEntry(const FeatureObject& f,
   HilbertValue hv = EncodeKeywords(f.keywords);
   const std::array<double, 4> p{f.pos.x, f.pos.y, f.score,
                                 hv.ToUnitDouble()};
-  return {Rect4::FromPoint(p), id, SrtAug{f.score, std::move(hv), f.keywords}};
+  return {Rect4::FromPoint(p), id, SrtAug{f.score, std::move(hv)}};
 }
 
 SrtIndex::SrtIndex(const FeatureTable* table,
-                   const FeatureIndexOptions& options)
+                   const FeatureIndexOptions& options,
+                   std::optional<RestoredTreeData> restored)
     : FeatureIndex(options.set_ordinal),
       table_(table),
       build_kind_(options.bulk_load),
       tree_(TreeOptionsFor(
           options, Geometry(options.page_size_bytes, table->universe_size()))) {
+  if (restored.has_value()) {
+    tree_.Adopt(std::move(*restored));
+    STPQ_VALIDATE(ValidateSrtIndex(*this));
+    return;
+  }
   using Entry = RTree<4, SrtAug>::Entry;
   std::vector<Entry> records;
   records.reserve(table_->size());
   for (const FeatureObject& f : table_->All()) {
     records.push_back(LeafEntry(f, f.id));
   }
-  switch (options.bulk_load) {
-    case BulkLoadKind::kHilbert: {
-      // Bulk insertion [9]: sort by the Hilbert key of the mapped 4-D point.
-      Rect4 domain = ComputeDomain<4, SrtAug>(records);
-      SortByHilbertKey<4, SrtAug>(&records, domain, kHilbertBitsPerDim);
-      tree_.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kStr: {
-      SortSTR<4, SrtAug>(&records, tree_.options().max_entries);
-      tree_.BulkLoadSorted(records, options.fill);
-      break;
-    }
-    case BulkLoadKind::kInsert: {
-      for (const Entry& r : records) tree_.Insert(r.rect, r.id, r.aug);
-      break;
-    }
-  }
-  STPQ_VALIDATE(ValidateSrtIndex(*this));
-}
-
-SrtIndex::SrtIndex(const FeatureTable* table,
-                   const FeatureIndexOptions& options,
-                   RestoredTreeData<4, SrtAug> restored)
-    : FeatureIndex(options.set_ordinal),
-      table_(table),
-      build_kind_(options.bulk_load),
-      tree_(TreeOptionsFor(
-          options, Geometry(options.page_size_bytes, table->universe_size()))) {
-  AdoptRestoredTree(&tree_, std::move(restored));
+  // Bulk insertion [9] sorts by the Hilbert key of the mapped 4-D point.
+  BuildTree(&tree_, &records, options.bulk_load, options.fill);
   STPQ_VALIDATE(ValidateSrtIndex(*this));
 }
 
@@ -81,33 +60,41 @@ void SrtIndex::VisitChildren(NodeId node_id, const KeywordSet& query_kw,
                              double lambda,
                              std::vector<FeatureBranch>* out) const {
   out->clear();
-  const RTree<4, SrtAug>::Node& node = tree_.ReadNode(node_id);
-  const uint32_t query_count = query_kw.Count();
-  out->reserve(node.entries.size());
-  for (const auto& e : node.entries) {
-    FeatureBranch b;
-    b.id = e.id;
-    b.is_feature = node.IsLeaf();
+  const RTree<4, SrtAug>::View node = tree_.ReadNode(node_id);
+  const uint32_t n = node.count();
+  out->resize(n);
+  FeatureBranch* branches = out->data();
+  for (uint32_t i = 0; i < n; ++i) {
+    FeatureBranch& b = branches[i];
+    b.id = node.id(i);
     // Spatial projection of the 4-D MBR.
-    b.mbr = Rect2{{e.rect.lo[0], e.rect.lo[1]}, {e.rect.hi[0], e.rect.hi[1]}};
-    if (b.is_feature) {
+    const Rect4 r = node.rect(i);
+    b.mbr = Rect2{{r.lo[0], r.lo[1]}, {r.hi[0], r.hi[1]}};
+  }
+  if (node.IsLeaf()) {
+    for (FeatureBranch& b : *out) {
       // Exact preference score s(t) (Definition 1).
-      const FeatureObject& f = table_->Get(e.id);
-      double sim = f.keywords.Jaccard(query_kw);
+      const FeatureObject& f = table_->Get(b.id);
+      const double sim = f.keywords.Jaccard(query_kw);
+      b.is_feature = true;
       b.score_bound = (1.0 - lambda) * f.score + lambda * sim;
       b.text_match = sim > 0.0;
-    } else {
-      // e.W is the decoded aggregated Hilbert value (cached at build time,
-      // see SrtAug); the bound uses |e.W n W| / |W| >= Jaccard.
-      uint32_t inter = e.aug.keywords.IntersectCount(query_kw);
-      double text_bound =
-          query_count > 0
-              ? static_cast<double>(inter) / static_cast<double>(query_count)
-              : 0.0;
-      b.score_bound = (1.0 - lambda) * e.aug.max_score + lambda * text_bound;
-      b.text_match = inter > 0;
     }
-    out->push_back(std::move(b));
+    return;
+  }
+  // |e.W n W| counted on the aggregated Hilbert words in place; the bound
+  // uses |e.W n W| / |W| >= Jaccard.
+  const uint32_t query_count = query_kw.Count();
+  for (uint32_t i = 0; i < n; ++i) {
+    FeatureBranch& b = branches[i];
+    const uint32_t inter = HilbertIntersectCount(node.aug_words(i), query_kw);
+    const double text_bound =
+        query_count > 0
+            ? static_cast<double>(inter) / static_cast<double>(query_count)
+            : 0.0;
+    b.is_feature = false;
+    b.score_bound = (1.0 - lambda) * node.max_score(i) + lambda * text_bound;
+    b.text_match = inter > 0;
   }
 }
 

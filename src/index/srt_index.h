@@ -10,20 +10,15 @@
 #define STPQ_INDEX_SRT_INDEX_H_
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "hilbert/keyword_hilbert.h"
 #include "index/feature_index.h"
+#include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 
 namespace stpq {
-
-/// How a feature index organizes its records at build time.
-enum class BulkLoadKind {
-  kHilbert,  ///< Hilbert-sort packing (Kamel & Faloutsos [9]; the paper's choice)
-  kStr,      ///< Sort-Tile-Recursive packing (spatial-only; ablation)
-  kInsert,   ///< one-at-a-time Guttman insertion (ablation/testing)
-};
 
 /// Build-time knobs shared by the feature indexes.
 struct FeatureIndexOptions {
@@ -44,23 +39,30 @@ struct FeatureIndexOptions {
 /// Entry augmentation of the SRT-index: e.s and H(e.W) of Section 4.1.
 ///
 /// The aggregated Hilbert value is what the paper's node entry stores (and
-/// what the fan-out accounting charges); `keywords` caches its decoded
-/// form so query-time bound computation skips the per-visit decode — the
-/// two are kept consistent by construction (Merge re-derives the cache
-/// through the Hilbert aggregation path, exactly as Section 4.2 updates
-/// node values).
+/// what the fan-out accounting charges).  Queries bound |e.W n W| on its
+/// words in place (HilbertIntersectCount), so no decoded keyword set is
+/// kept; Merge updates the value exactly as Section 4.2 updates it.
 struct SrtAug {
   double max_score = 0.0;
   HilbertValue keyword_hilbert;
-  KeywordSet keywords;
 
   static SrtAug Merge(const SrtAug& a, const SrtAug& b) {
-    HilbertValue merged = AggregateHilbert(a.keyword_hilbert,
-                                           b.keyword_hilbert,
-                                           a.keyword_hilbert.bits());
-    KeywordSet decoded = DecodeKeywords(merged, a.keywords.universe_size());
-    return SrtAug{std::max(a.max_score, b.max_score), std::move(merged),
-                  std::move(decoded)};
+    return SrtAug{std::max(a.max_score, b.max_score),
+                  AggregateHilbert(a.keyword_hilbert, b.keyword_hilbert,
+                                   a.keyword_hilbert.bits())};
+  }
+};
+
+/// SrtAug's slot payload: {max score, aggregated Hilbert words}.
+template <>
+struct AugCodec<SrtAug> : ScoredWordsCodec {
+  static void Encode(const TreeGeometry& g, const SrtAug& aug, char* out) {
+    Put(g, aug.max_score, aug.keyword_hilbert.words(), out);
+  }
+  static SrtAug Decode(const TreeGeometry& g, const char* in) {
+    SrtAug aug{MaxScore(in), HilbertValue(g.aug_bits)};
+    aug.keyword_hilbert.words() = CopyWords(g, in);
+    return aug;
   }
 };
 
@@ -68,14 +70,12 @@ struct SrtAug {
 class SrtIndex : public FeatureIndex {
  public:
   /// Builds the index over `table` (not owned; must outlive the index).
-  SrtIndex(const FeatureTable* table, const FeatureIndexOptions& options);
-
-  /// Restores a persisted index (storage/index_file.*): adopts the
-  /// deserialized tree instead of bulk loading, so node ids — and the
-  /// golden I/O counts derived from them — match the builder exactly.
-  /// `options` must carry the build-time parameters recorded in the file.
+  /// Given `restored` (io/index_file.*), adopts that persisted tree
+  /// instead, so node ids — and the golden I/O counts derived from them —
+  /// match the builder exactly; `options` must then carry the build-time
+  /// parameters recorded in the file.
   SrtIndex(const FeatureTable* table, const FeatureIndexOptions& options,
-           RestoredTreeData<4, SrtAug> restored);
+           std::optional<RestoredTreeData> restored = std::nullopt);
 
   /// Page geometry over a keyword universe of `universe_size` terms.
   static TreeGeometry Geometry(uint32_t page_size_bytes,
@@ -88,7 +88,7 @@ class SrtIndex : public FeatureIndex {
 
   NodeId RootId() const override;
   uint16_t NodeLevel(NodeId node_id) const override {
-    return tree_.PeekNode(node_id).level;
+    return tree_.PeekView(node_id).level();
   }
   void VisitChildren(NodeId node_id, const KeywordSet& query_kw,
                      double lambda,
@@ -104,7 +104,8 @@ class SrtIndex : public FeatureIndex {
   /// order only for kHilbert builds.
   [[nodiscard]] BulkLoadKind build_kind() const { return build_kind_; }
 
-  /// Mutable tree access for deliberate-corruption invariant tests only.
+  /// Mutable tree access for deliberate-corruption invariant tests (and
+  /// the Guttman delete fixtures) only.
   [[nodiscard]] RTree<4, SrtAug>& mutable_tree_for_test() { return tree_; }
 
  private:

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -394,11 +395,9 @@ Status RunSurvey(const std::string& dataset_path,
 /// One tree's codec and packing shape, fixed before the content pass.
 template <int D, typename Aug>
 struct TreePlan {
-  TreePlan(const TreeGeometry& geometry, uint32_t page_size, uint64_t count,
-           double fill)
-      : codec(geometry, page_size),
-        layout(ComputePackLayout(count, RTreeOptions{geometry.max_entries},
-                                 fill)) {}
+  TreePlan(const TreeGeometry& geometry, uint64_t count, double fill)
+      : codec(geometry),
+        layout(ComputePackLayout(count, RTreeOptions{geometry}, fill)) {}
 
   TreeSegments Segments() const {
     return MakeTreeSegments(codec.geometry(), codec.slot_bytes(), layout.root,
@@ -434,8 +433,8 @@ template <int D, typename Aug>
 Status Feed(ExternalSorter* sorter, const NodeCodec<D, Aug>& codec,
             const typename RTree<D, Aug>::Entry& e, const Rect<D>& domain,
             std::string* blob) {
-  blob->clear();
-  codec.EncodeEntry(e, blob);
+  blob->resize(codec.entry_bytes());
+  codec.EncodeEntry(e, blob->data());
   return sorter->Add(HilbertSortKey<D>(e.rect, domain, kHilbertBitsPerDim),
                      blob->data());
 }
@@ -446,17 +445,17 @@ template <int D, typename Aug>
 Status PackTree(ExternalSorter* sorter, AtomicFile* out,
                 const TreePlan<D, Aug>& tree, IndexPlan* plan, uint32_t t) {
   using Entry = typename RTree<D, Aug>::Entry;
-  TreeWriter<D, Aug> writer(out, tree.codec, plan, t);
-  auto sink = [&writer](NodeId id, uint16_t level, std::vector<Entry>* es) {
-    return writer.WriteNode(id, level, *es);
+  // Slots complete out of id order; each is encoded and written at its id.
+  std::vector<char> slot(tree.codec.slot_bytes());
+  const uint64_t base = plan->tree_nodes(t).offset;
+  auto sink = [&](NodeId id, uint16_t level, std::span<const Entry> entries) {
+    STPQ_RETURN_NOT_OK(tree.codec.EncodeSlot(level, entries, slot.data()));
+    return out->WriteAt(base + uint64_t{id} * slot.size(), slot.data(),
+                        slot.size());
   };
   LevelPacker<D, Aug, decltype(sink)> packer(tree.layout, sink);
   STPQ_RETURN_NOT_OK(sorter->Drain([&](const char* blob) {
-    ByteReader r(blob, tree.codec.entry_bytes());
-    Entry e;
-    STPQ_CHECK(tree.codec.DecodeEntry(r, &e) &&
-               "bulk-load entry blob decode failed");
-    return packer.Add(std::move(e));
+    return packer.Add(tree.codec.DecodeEntry(blob));
   }));
   STPQ_RETURN_NOT_OK(packer.Finish());
   return FinishTree(out, plan, t);
@@ -501,7 +500,7 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   // Plan every tree's geometry and packing, then every segment's offset.
   const uint32_t page = params.page_size_bytes;
   const bool srt = params.index_kind == FeatureIndexKind::kSrt;
-  const TreePlan<2, NoAug> object_tree(ObjectIndex::Geometry(page), page,
+  const TreePlan<2, NoAug> object_tree(ObjectIndex::Geometry(page),
                                        survey.object_count, params.fill);
   if (object_tree.layout.node_count > kMaxNodeCount) {
     return Status::InvalidArgument("object tree too large to persist");
@@ -512,12 +511,12 @@ Result<ExternalBuildStats> BuildIndexFileExternal(
   std::vector<TreeSegments> trees{object_tree.Segments()};
   for (const TableSurvey& t : survey.tables) {
     if (srt) {
-      srt_trees.emplace_back(SrtIndex::Geometry(page, t.universe), page,
+      srt_trees.emplace_back(SrtIndex::Geometry(page, t.universe),
                              t.feature_count, params.fill);
       trees.push_back(srt_trees.back().Segments());
     } else {
       ir2_trees.emplace_back(
-          Ir2Tree::Geometry(page, params.signature_bits, t.universe), page,
+          Ir2Tree::Geometry(page, params.signature_bits, t.universe),
           t.feature_count, params.fill);
       trees.push_back(ir2_trees.back().Segments());
     }

@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <functional>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -34,13 +33,13 @@ struct Superblock {
 // -------------------------------------------------------- file plumbing
 //
 // The reader never loads the whole file: it preads the superblock and
-// catalog, then each small segment, and leaves the node segments on disk
-// behind lazy per-node decoders.  The handle is shared (shared_ptr) with
-// every decoder closure so the fd outlives the LoadedIndex parts.
+// catalog, then each small segment, and streams each node segment once to
+// verify it.  The slots themselves stay in the file: trees read them from
+// the FilePageStore's mapping of it.
 
 class IndexFileHandle {
  public:
-  [[nodiscard]] static Result<std::shared_ptr<IndexFileHandle>> Open(
+  [[nodiscard]] static Result<std::unique_ptr<IndexFileHandle>> Open(
       const std::string& path) {
     int fd = -1;
     do {
@@ -52,7 +51,7 @@ class IndexFileHandle {
       ::close(fd);
       return Status::IoError("cannot open: " + path);
     }
-    return std::shared_ptr<IndexFileHandle>(
+    return std::unique_ptr<IndexFileHandle>(
         new IndexFileHandle(path, fd, static_cast<uint64_t>(st.st_size)));
   }
 
@@ -62,6 +61,7 @@ class IndexFileHandle {
   IndexFileHandle& operator=(const IndexFileHandle&) = delete;
 
   [[nodiscard]] const std::string& path() const { return path_; }
+  [[nodiscard]] int fd() const { return fd_; }
   [[nodiscard]] uint64_t size() const { return size_; }
 
   /// Reads exactly [offset, offset + n), retrying EINTR; a persistent
@@ -276,18 +276,17 @@ Status ParseFeatureTable(std::string_view sv, FeatureTable* out) {
 
 // --------------------------------------------------------- tree reader
 //
-// Split in two: the metadata parse + one streaming verification pass over
-// the node segment run eagerly at open (so a damaged file is rejected with
-// the same typed errors as the old whole-file loader), while the node
-// records themselves stay on disk behind a per-node decoder closure.
+// The metadata is parsed and cross-checked against the catalog row of the
+// node segment; the node segment is streamed once, checksumming every byte
+// and validating each slot header, and is not kept: the page store maps
+// it.
 
 /// Parses the tree-metadata payload and cross-checks it against the node
 /// segment's catalog entry and the geometry the superblock parameters
-/// derive.  Fills everything in `out` except the decoder.
+/// derive.  Fills everything in `out` except the slots.
 template <int D, typename Aug>
 Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
-                     const NodeCodec<D, Aug>& codec,
-                     RestoredTreeData<D, Aug>* out) {
+                     const NodeCodec<D, Aug>& codec, RestoredTreeData* out) {
   const TreeGeometry& g = codec.geometry();
   ByteReader m(meta.data(), meta.size());
   uint32_t root = 0, height = 0, node_count = 0, max_entries = 0;
@@ -320,9 +319,9 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
       nodes_entry.slot_count * uint64_t{nodes_entry.slot_bytes}) {
     return Status::Corruption("node segment size does not match its slots");
   }
-  // The lazy decoder trusts the catalog's fixed slot width, so it must
-  // equal the width the page-size parameters derive (the catalog itself
-  // is not checksummed).
+  // Trees and the page store index slots by the catalog's fixed slot
+  // width, so it must equal the width the page-size parameters derive
+  // (the catalog itself is not checksummed).
   if (nodes_entry.slot_bytes != codec.slot_bytes()) {
     return Status::Corruption(
         "node slot width mismatch: catalog says " +
@@ -349,10 +348,10 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
   return Status::OK();
 }
 
-/// One streaming pass over a node segment: checksums every byte and
-/// validates each slot header without retaining the payload.  A checksum
-/// mismatch outranks a slot-header violation (the old whole-file loader
-/// checksummed before parsing; damaged bytes usually trip both).
+/// One streaming pass over a node segment through a bounded buffer:
+/// checksums every byte and validates each slot header.  A checksum
+/// mismatch outranks a slot-header violation (damaged bytes usually trip
+/// both).
 Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
                          uint32_t max_entries) {
   Fnv1a64Stream fnv;
@@ -386,47 +385,26 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
   return bad_slot;
 }
 
-/// Builds the per-node decoder closure for RTree::RestoreLazy.  Decoding
-/// cannot fail on a verified segment: slots are fixed-width, every slot
-/// header was validated (count <= max_entries implies every fixed-width
-/// entry fits the slot), and the codecs read exact widths — so a failure
-/// here means the file changed underneath us, which is a crash, not a
-/// Status.
+/// Verifies tree t (0: the object tree, i + 1: the feature tree of table
+/// i), parses its metadata and maps its node segment into the page-id
+/// namespace.  `*nodes_offset` gets the file offset of the tree's slots.
 template <int D, typename Aug>
-std::function<void(NodeId, typename RTree<D, Aug>::Node*)> MakeNodeDecoder(
-    std::shared_ptr<IndexFileHandle> file, const CatalogEntry& entry,
-    const NodeCodec<D, Aug>& codec) {
-  const uint64_t offset = entry.offset;
-  return [file = std::move(file), offset,
-          codec](NodeId id, typename RTree<D, Aug>::Node* node) {
-    std::vector<char> buf(codec.slot_bytes());
-    const Status read = file->PreadExact(
-        offset + uint64_t{id} * buf.size(), buf.data(), buf.size());
-    STPQ_CHECK(read.ok() && "index node slot read failed");
-    STPQ_CHECK(codec.DecodeSlot(buf.data(), node) &&
-               "index node decode failed after verification");
-  };
-}
-
-/// Eagerly verifies tree t (0: the object tree, i + 1: the feature tree
-/// of table i), wires up its lazy restore payload and maps its node
-/// segment into the page-id namespace.
-template <int D, typename Aug>
-Status LoadTree(const std::shared_ptr<IndexFileHandle>& file,
+Status LoadTree(const IndexFileHandle& file,
                 const std::vector<CatalogEntry>& catalog, uint32_t t,
-                const NodeCodec<D, Aug>& codec, RestoredTreeData<D, Aug>* out,
+                const NodeCodec<D, Aug>& codec, RestoredTreeData* out,
+                uint64_t* nodes_offset,
                 std::vector<FilePageStore::Extent>* extents) {
   const uint32_t meta_type =
       t == 0 ? kSegObjectTreeMeta : kSegFeatureTreeMeta;
   const uint32_t ordinal = t == 0 ? 0 : t - 1;
-  Result<std::string> meta = VerifiedSegment(*file, catalog, meta_type,
+  Result<std::string> meta = VerifiedSegment(file, catalog, meta_type,
                                              ordinal);
   if (!meta.ok()) return meta.status();
   const CatalogEntry* entry = FindEntry(catalog, meta_type + 1, ordinal);
   if (entry == nullptr) return MissingSegment(meta_type + 1, ordinal);
   STPQ_RETURN_NOT_OK(ParseTreeMeta(meta.value(), *entry, codec, out));
   STPQ_RETURN_NOT_OK(
-      VerifyNodeSegment(*file, *entry, codec.geometry().max_entries));
+      VerifyNodeSegment(file, *entry, codec.geometry().max_entries));
   if (entry->first_page != kIndexPageStride * t) {
     return Status::Corruption("node segment '" +
                               std::string(SegmentName(entry->type)) + "' #" +
@@ -438,24 +416,27 @@ Status LoadTree(const std::shared_ptr<IndexFileHandle>& file,
         entry->first_page, entry->slot_count, entry->offset,
         entry->slot_bytes});
   }
-  out->decoder = MakeNodeDecoder(file, *entry, codec);
+  *nodes_offset = entry->offset;
   return Status::OK();
 }
 
-/// Writes one in-memory tree's segments: every node slot in id order, free
-/// ones included (empty), then the metadata.
+/// Writes one in-memory tree's segments: its slots verbatim (free ones
+/// included), then the metadata.
 template <int D, typename Aug>
 Status WriteTree(AtomicFile* out, const RTree<D, Aug>& tree,
                  const NodeCodec<D, Aug>& codec, IndexPlan* plan,
                  uint32_t t) {
-  if (tree.options().max_entries != codec.geometry().max_entries) {
+  const NodeCodec<D, Aug>& own = tree.codec();
+  if (own.geometry().max_entries != codec.geometry().max_entries ||
+      own.entry_bytes() != codec.entry_bytes() ||
+      own.slot_bytes() != codec.slot_bytes()) {
     return Status::InvalidArgument(
-        "index tree fan-out does not match the write parameters");
+        "index tree slot layout does not match the write parameters");
   }
-  TreeWriter<D, Aug> writer(out, codec, plan, t);
-  const auto& all = tree.nodes();
-  for (NodeId id = 0; id < all.size(); ++id) {
-    STPQ_RETURN_NOT_OK(writer.WriteNode(id, all[id].level, all[id].entries));
+  const std::string_view slots = tree.slots();
+  if (!slots.empty()) {
+    STPQ_RETURN_NOT_OK(
+        out->WriteAt(plan->tree_nodes(t).offset, slots.data(), slots.size()));
   }
   return FinishTree(out, plan, t);
 }
@@ -531,21 +512,18 @@ Status WriteIndexFile(const std::string& path,
   const auto visit_tree = [&](uint32_t t, const auto& fn) {
     if (t == 0) {
       return fn(request.object_index->tree(),
-                NodeCodec<2, NoAug>(ObjectIndex::Geometry(page_size),
-                                    page_size));
+                NodeCodec<2, NoAug>(ObjectIndex::Geometry(page_size)));
     }
     const uint32_t universe = (*request.feature_tables)[t - 1].universe_size();
     const FeatureIndex* index = request.feature_indexes[t - 1];
     if (srt) {
       return fn(static_cast<const SrtIndex*>(index)->tree(),
-                NodeCodec<4, SrtAug>(SrtIndex::Geometry(page_size, universe),
-                                     page_size));
+                NodeCodec<4, SrtAug>(SrtIndex::Geometry(page_size, universe)));
     }
     return fn(static_cast<const Ir2Tree*>(index)->tree(),
               NodeCodec<2, Ir2Aug>(Ir2Tree::Geometry(page_size,
                                                      params.signature_bits,
-                                                     universe),
-                                   page_size));
+                                                     universe)));
   };
 
   std::vector<TableSizes> sizes(num_tables);
@@ -594,9 +572,10 @@ Status WriteIndexFile(const std::string& path,
 // ---------------------------------------------------------------- reader
 
 Result<LoadedIndex> LoadIndexFile(const std::string& path) {
-  Result<std::shared_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
+  Result<std::unique_ptr<IndexFileHandle>> file_r =
+      IndexFileHandle::Open(path);
   if (!file_r.ok()) return file_r.status();
-  std::shared_ptr<IndexFileHandle> file = file_r.TakeValue();
+  const std::unique_ptr<IndexFileHandle> file = file_r.TakeValue();
 
   Superblock sb;
   std::vector<CatalogEntry> catalog;
@@ -626,33 +605,46 @@ Result<LoadedIndex> LoadIndexFile(const std::string& path) {
   // The object tree, then one feature tree per table matching the
   // persisted index kind.
   const uint32_t page_size = sb.params.page_size_bytes;
-  STPQ_RETURN_NOT_OK(LoadTree(
-      file, catalog, 0,
-      NodeCodec<2, NoAug>(ObjectIndex::Geometry(page_size), page_size),
-      &out.object_tree, &out.extents));
+  std::vector<uint64_t> offsets(sb.table_count + 1);
+  std::vector<FilePageStore::Extent> extents;
+  out.trees.resize(sb.table_count + 1);
+  STPQ_RETURN_NOT_OK(
+      LoadTree(*file, catalog, 0,
+               NodeCodec<2, NoAug>(ObjectIndex::Geometry(page_size)),
+               &out.trees[0], &offsets[0], &extents));
   for (uint32_t i = 0; i < sb.table_count; ++i) {
     const uint32_t universe = out.feature_tables[i].universe_size();
     STPQ_RETURN_NOT_OK(
         sb.params.index_kind == FeatureIndexKind::kSrt
-            ? LoadTree(file, catalog, i + 1,
+            ? LoadTree(*file, catalog, i + 1,
                        NodeCodec<4, SrtAug>(
-                           SrtIndex::Geometry(page_size, universe), page_size),
-                       &out.srt_trees.emplace_back(), &out.extents)
-            : LoadTree(file, catalog, i + 1,
-                       NodeCodec<2, Ir2Aug>(
-                           Ir2Tree::Geometry(page_size,
-                                             sb.params.signature_bits,
-                                             universe),
-                           page_size),
-                       &out.ir2_trees.emplace_back(), &out.extents));
+                           SrtIndex::Geometry(page_size, universe)),
+                       &out.trees[i + 1], &offsets[i + 1], &extents)
+            : LoadTree(*file, catalog, i + 1,
+                       NodeCodec<2, Ir2Aug>(Ir2Tree::Geometry(
+                           page_size, sb.params.signature_bits, universe)),
+                       &out.trees[i + 1], &offsets[i + 1], &extents));
+  }
+
+  // The trees read their slots from a mapping of the file verified above,
+  // through its descriptor: `path` may name another file by now.
+  const int fd = ::fcntl(file->fd(), F_DUPFD_CLOEXEC, 0);
+  if (fd < 0) return Status::IoError("cannot open: " + path);
+  Result<std::unique_ptr<FilePageStore>> store_r = FilePageStore::Open(
+      fd, path, std::move(extents), FilePageStore::IoMode::kMmap);
+  if (!store_r.ok()) return store_r.status();
+  out.store = store_r.TakeValue();
+  for (size_t t = 0; t < out.trees.size(); ++t) {
+    out.trees[t].mapped = out.store->mapped_data() + offsets[t];
   }
   return out;
 }
 
 Result<IndexFileInfo> ReadIndexFileInfo(const std::string& path) {
-  Result<std::shared_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
+  Result<std::unique_ptr<IndexFileHandle>> file_r =
+      IndexFileHandle::Open(path);
   if (!file_r.ok()) return file_r.status();
-  const std::shared_ptr<IndexFileHandle> file = file_r.TakeValue();
+  const std::unique_ptr<IndexFileHandle> file = file_r.TakeValue();
   Superblock sb;
   std::vector<CatalogEntry> catalog;
   STPQ_RETURN_NOT_OK(ParseHeader(*file, &sb, &catalog));
@@ -678,9 +670,10 @@ Result<IndexFileInfo> ReadIndexFileInfo(const std::string& path) {
 
 Result<std::vector<Vocabulary>> ReadIndexVocabularies(
     const std::string& path) {
-  Result<std::shared_ptr<IndexFileHandle>> file_r = IndexFileHandle::Open(path);
+  Result<std::unique_ptr<IndexFileHandle>> file_r =
+      IndexFileHandle::Open(path);
   if (!file_r.ok()) return file_r.status();
-  const std::shared_ptr<IndexFileHandle> file = file_r.TakeValue();
+  const std::unique_ptr<IndexFileHandle> file = file_r.TakeValue();
   Superblock sb;
   std::vector<CatalogEntry> catalog;
   STPQ_RETURN_NOT_OK(ParseHeader(*file, &sb, &catalog));

@@ -26,6 +26,7 @@
 #ifndef STPQ_IO_INDEX_FILE_H_
 #define STPQ_IO_INDEX_FILE_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,24 +69,26 @@ struct IndexFileWriteRequest {
 [[nodiscard]] Status WriteIndexFile(const std::string& path,
                                     const IndexFileWriteRequest& request);
 
-/// Everything LoadIndexFile recovers.  Exactly one of srt_trees /
-/// ir2_trees is populated, matching params.index_kind; `extents` maps the
-/// node segments into the engine's page-id namespace (object tree at 0,
-/// feature index i at kIndexPageStride * (i + 1)) for FilePageStore.
+/// Everything LoadIndexFile recovers.  `trees` holds the object tree, then
+/// one feature tree per table (SRT or IR2 as params.index_kind says).
+/// `store` serves buffer-pool misses from the node segments (object tree
+/// at page 0, feature index i at kIndexPageStride * (i + 1)); the trees
+/// read their slots from its mapping, so it must outlive them.
 struct LoadedIndex {
   IndexBuildParams params;
   std::vector<DataObject> objects;
   std::vector<FeatureTable> feature_tables;
   std::vector<Vocabulary> vocabularies;
-  RestoredTreeData<2, NoAug> object_tree;
-  std::vector<RestoredTreeData<4, SrtAug>> srt_trees;
-  std::vector<RestoredTreeData<2, Ir2Aug>> ir2_trees;
-  std::vector<FilePageStore::Extent> extents;
+  std::vector<RestoredTreeData> trees;
+  std::unique_ptr<FilePageStore> store;
 };
 
-/// Reads and verifies a file written by WriteIndexFile.  Every segment's
-/// checksum is validated before parsing; see the file comment for the
-/// error taxonomy.
+/// Reads and verifies a file written by WriteIndexFile and opens its page
+/// store.  Every segment's checksum is validated before its payload is
+/// used, and every node slot header is checked against the fan-out; see
+/// the file comment for the error taxonomy; a file that cannot be mapped
+/// is an IoError.  Node slots are not decoded or copied: the trees read
+/// them in place from the store's mapping of the file that was verified.
 [[nodiscard]] Result<LoadedIndex> LoadIndexFile(const std::string& path);
 
 /// One catalog row, decoded for display (`stpq_cli load`) and for the

@@ -4,17 +4,18 @@
 // and the external bulk loader (io/bulk_load.cc) over a .stpq dataset —
 // and the reader are thin drivers over the pieces here:
 //
-//   codec     AugCodec / NodeCodec: the entry and fixed-width slot layout,
-//             encoded and decoded in one place each;
 //   records   one encoder per record-segment row and header;
 //   plan      IndexPlan: catalog order, alignment, offsets and file end;
-//   writers   SegmentWriter (streaming record segments), TreeWriter (node
-//             slots in any order + tree metadata, one checksum rule), and
+//   writers   SegmentWriter (streaming record segments), FinishTree (tree
+//             metadata and the one node-checksum rule), and
 //             CommitIndexFile, the one function that assembles the
 //             superblock and catalog.
 //
-// Tree geometry (fan-out, augmentation widths) belongs to the index types
-// (ObjectIndex/SrtIndex/Ir2Tree::Geometry) and the packing to
+// The node slot layout (NodeCodec) belongs to rtree/node_codec.h, since a
+// tree's slots are its only in-memory form too; the augmentation codecs
+// sit next to their Aug types (index/srt_index.h, index/ir2_tree.h), tree
+// geometry (fan-out, augmentation widths) with the index types
+// (ObjectIndex/SrtIndex/Ir2Tree::Geometry) and the packing in
 // rtree/bulk_load.h.  Because the writers share every layout decision,
 // their outputs agree by construction; tests/format_golden_test.cc pins
 // the bytes themselves.
@@ -27,10 +28,7 @@
 #include <type_traits>
 #include <vector>
 
-#include "hilbert/keyword_hilbert.h"
 #include "index/feature.h"
-#include "index/ir2_tree.h"
-#include "index/srt_index.h"
 #include "io/atomic_file.h"
 #include "io/index_file.h"
 #include "rtree/rtree.h"
@@ -105,14 +103,6 @@ inline void PutString(std::string* out, const std::string& s) {
   out->append(s);
 }
 
-/// Appends exactly `n` words: `words` zero-padded or cut to that width.
-inline void PutWords(std::string* out, const std::vector<uint64_t>& words,
-                     uint32_t n) {
-  for (uint32_t w = 0; w < n; ++w) {
-    PutPod<uint64_t>(out, w < words.size() ? words[w] : 0);
-  }
-}
-
 /// Bounds-checked reader over one segment's bytes.
 class ByteReader {
  public:
@@ -135,164 +125,10 @@ class ByteReader {
     return true;
   }
 
-  /// Reads exactly `n` words, keeping those that fit in `words`.
-  bool Words(uint32_t n, std::vector<uint64_t>* words) {
-    for (uint32_t w = 0; w < n; ++w) {
-      uint64_t word = 0;
-      if (!Pod(&word)) return false;
-      if (w < words->size()) (*words)[w] = word;
-    }
-    return true;
-  }
-
  private:
   const char* data_;
   size_t size_;
   size_t pos_ = 0;
-};
-
-// ------------------------------------------------- augmentation codecs
-//
-// Fixed-width per-entry payloads, sized by the index's TreeGeometry.
-
-template <typename Aug>
-struct AugCodec;
-
-template <>
-struct AugCodec<NoAug> {
-  explicit AugCodec(const TreeGeometry&) {}
-  void Write(std::string*, const NoAug&) const {}
-  bool Read(ByteReader&, NoAug*) const { return true; }
-};
-
-/// SrtAug persists {max score, aggregated Hilbert words}; the decoded
-/// keyword cache is re-derived on read (DecodeKeywords is the exact
-/// inverse of the encoding, so the rebuilt aug is identical).
-template <>
-struct AugCodec<SrtAug> {
-  explicit AugCodec(const TreeGeometry& g) : geometry(g) {}
-
-  void Write(std::string* out, const SrtAug& aug) const {
-    PutPod(out, aug.max_score);
-    PutWords(out, aug.keyword_hilbert.words(), geometry.aug_words);
-  }
-
-  bool Read(ByteReader& in, SrtAug* aug) const {
-    HilbertValue hv(geometry.aug_bits);
-    if (!in.Pod(&aug->max_score) ||
-        !in.Words(geometry.aug_words, &hv.words())) {
-      return false;
-    }
-    aug->keywords = DecodeKeywords(hv, geometry.aug_bits);
-    aug->keyword_hilbert = std::move(hv);
-    return true;
-  }
-
-  TreeGeometry geometry;
-};
-
-/// Ir2Aug persists {max score, signature words}.
-template <>
-struct AugCodec<Ir2Aug> {
-  explicit AugCodec(const TreeGeometry& g) : geometry(g) {}
-
-  void Write(std::string* out, const Ir2Aug& aug) const {
-    PutPod(out, aug.max_score);
-    PutWords(out, aug.signature.words(), geometry.aug_words);
-  }
-
-  bool Read(ByteReader& in, Ir2Aug* aug) const {
-    std::vector<uint64_t> words(geometry.aug_words, 0);
-    if (!in.Pod(&aug->max_score) || !in.Words(geometry.aug_words, &words)) {
-      return false;
-    }
-    aug->signature = Signature::FromWords(geometry.aug_bits, std::move(words));
-    return true;
-  }
-
-  TreeGeometry geometry;
-};
-
-// ------------------------------------------------------- node codec
-
-/// The one entry and slot layout.  An entry is D lo-doubles, D hi-doubles,
-/// a uint32 child/record id, then the aug payload.  A slot is an 8-byte
-/// header (uint16 level, uint16 reserved, uint32 count) and the entries,
-/// zero-padded to the page-aligned worst-case node size, so node i lives
-/// at i * slot_bytes and a FilePageStore serves it with one read.
-template <int D, typename Aug>
-class NodeCodec {
- public:
-  using Entry = typename RTree<D, Aug>::Entry;
-  using Node = typename RTree<D, Aug>::Node;
-
-  NodeCodec(const TreeGeometry& geometry, uint32_t page_size)
-      : geometry_(geometry),
-        aug_(geometry),
-        entry_bytes_(16u * D + 4u + geometry.aug_bytes),
-        slot_bytes_(static_cast<uint32_t>(AlignUp(
-            8ull + uint64_t{geometry.max_entries} * entry_bytes_,
-            page_size))) {}
-
-  const TreeGeometry& geometry() const { return geometry_; }
-  uint32_t entry_bytes() const { return entry_bytes_; }
-  uint32_t slot_bytes() const { return slot_bytes_; }
-
-  void EncodeEntry(const Entry& e, std::string* out) const {
-    for (int d = 0; d < D; ++d) PutPod(out, e.rect.lo[d]);
-    for (int d = 0; d < D; ++d) PutPod(out, e.rect.hi[d]);
-    PutPod<uint32_t>(out, e.id);
-    aug_.Write(out, e.aug);
-  }
-
-  bool DecodeEntry(ByteReader& in, Entry* e) const {
-    for (int d = 0; d < D; ++d) {
-      if (!in.Pod(&e->rect.lo[d])) return false;
-    }
-    for (int d = 0; d < D; ++d) {
-      if (!in.Pod(&e->rect.hi[d])) return false;
-    }
-    return in.Pod(&e->id) && aug_.Read(in, &e->aug);
-  }
-
-  /// Appends one node's slot, exactly slot_bytes() long.
-  [[nodiscard]] Status EncodeSlot(uint16_t level,
-                                  const std::vector<Entry>& entries,
-                                  std::string* out) const {
-    const size_t start = out->size();
-    PutPod<uint16_t>(out, level);
-    PutPod<uint16_t>(out, 0);
-    PutPod<uint32_t>(out, static_cast<uint32_t>(entries.size()));
-    for (const Entry& e : entries) EncodeEntry(e, out);
-    if (out->size() - start > slot_bytes_) {
-      return Status::Internal("index node overflows its slot: " +
-                              std::to_string(out->size() - start) + " > " +
-                              std::to_string(slot_bytes_) + " bytes");
-    }
-    out->resize(start + slot_bytes_);  // zero-pad to the slot boundary
-    return Status::OK();
-  }
-
-  bool DecodeSlot(const char* slot, Node* node) const {
-    ByteReader r(slot, slot_bytes_);
-    uint16_t reserved = 0;
-    uint32_t count = 0;
-    if (!r.Pod(&node->level) || !r.Pod(&reserved) || !r.Pod(&count) ||
-        count > geometry_.max_entries) {
-      return false;
-    }
-    node->entries.resize(count);
-    for (Entry& e : node->entries) {
-      if (!DecodeEntry(r, &e)) return false;
-    }
-    return true;
-  }
-
- private:
-  TreeGeometry geometry_;
-  AugCodec<Aug> aug_;
-  uint32_t entry_bytes_;
-  uint32_t slot_bytes_;
 };
 
 // ----------------------------------------------------- record encoders
@@ -426,30 +262,6 @@ class SegmentWriter {
 /// external packer writes slots out of id order), which doubles as a
 /// read-back check of every slot write.
 [[nodiscard]] Status FinishTree(AtomicFile* out, IndexPlan* plan, uint32_t t);
-
-/// Writes the node slots of tree `t` at their ids, in any order.
-template <int D, typename Aug>
-class TreeWriter {
- public:
-  TreeWriter(AtomicFile* out, const NodeCodec<D, Aug>& codec, IndexPlan* plan,
-             uint32_t t)
-      : out_(out), codec_(codec), offset_(plan->tree_nodes(t).offset) {}
-
-  [[nodiscard]] Status WriteNode(
-      NodeId id, uint16_t level,
-      const std::vector<typename RTree<D, Aug>::Entry>& entries) {
-    slot_.clear();
-    STPQ_RETURN_NOT_OK(codec_.EncodeSlot(level, entries, &slot_));
-    const uint64_t at = offset_ + uint64_t{id} * codec_.slot_bytes();
-    return out_->WriteAt(at, slot_.data(), slot_.size());
-  }
-
- private:
-  AtomicFile* out_;
-  const NodeCodec<D, Aug>& codec_;
-  uint64_t offset_;
-  std::string slot_;
-};
 
 /// Writes the header — superblock and catalog, assembled here and nowhere
 /// else — pins the planned file end and durably commits the file.

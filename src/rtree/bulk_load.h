@@ -8,14 +8,16 @@
 // One module decides the packing.  PackLayout fixes the entries per node,
 // the nodes per level and every node id before the first entry arrives;
 // LevelPacker folds each closed node into its parent's summary entry and
-// hands the node to a sink.  RTree::BulkLoadSorted's sink fills the node
-// array; the external .stpqx loader's sink encodes and writes the slot.
+// hands the node to a sink.  Both sinks encode the node with the same
+// NodeCodec::EncodeSlot: RTree::BulkLoadSorted's into the tree's slot
+// arena, the external .stpqx loader's into the file.
 // Both sort with HilbertSortKey, so the two builds are the same tree.
 #ifndef STPQ_RTREE_BULK_LOAD_H_
 #define STPQ_RTREE_BULK_LOAD_H_
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -130,8 +132,9 @@ inline PackLayout ComputePackLayout(uint64_t entry_count,
   l.entry_count = entry_count;
   l.per_node = std::min(
       std::max<uint32_t>(MinEntriesFor(options),
-                         static_cast<uint32_t>(options.max_entries * fill)),
-      options.max_entries);
+                         static_cast<uint32_t>(options.geometry.max_entries *
+                                               fill)),
+      options.geometry.max_entries);
   if (entry_count == 0) return l;  // root stays invalid, height 0
   for (uint64_t n = entry_count; l.level_base.empty() || n > 1;) {
     n = (n + l.per_node - 1) / l.per_node;  // nodes on this level
@@ -146,10 +149,9 @@ inline PackLayout ComputePackLayout(uint64_t entry_count,
 /// Packs sorted leaf entries bottom-up along a PackLayout.  A node closes
 /// the moment it holds `per_node` entries; its summary entry (RTree::
 /// Summarize) cascades into the parent level's buffer, and the node goes
-/// to `sink(NodeId id, uint16_t level, std::vector<Entry>* entries)`,
-/// which returns a Status and may move the entries out.  Node ids come
-/// from the layout's level bases, so the interleaved close order still
-/// places every node at its final id.
+/// to `sink(NodeId id, uint16_t level, std::span<const Entry> entries)`,
+/// which returns a Status.  Node ids come from the layout's level bases,
+/// so the interleaved close order still places every node at its final id.
 template <int D, typename Aug, typename Sink>
 class LevelPacker {
  public:
@@ -196,9 +198,8 @@ class LevelPacker {
     const NodeId id =
         static_cast<NodeId>(layout_.level_base[level] + closed_[level]++);
     Entry summary = RTree<D, Aug>::Summarize(buf, id);
-    STPQ_RETURN_NOT_OK(sink_(id, static_cast<uint16_t>(level), &buf));
+    STPQ_RETURN_NOT_OK(sink_(id, static_cast<uint16_t>(level), buf));
     buf.clear();
-    buf.reserve(layout_.per_node);
     if (level + 1 < layout_.height) return AddAt(level + 1, std::move(summary));
     return Status::OK();  // the root's summary has no parent
   }
@@ -213,17 +214,16 @@ class LevelPacker {
 template <int D, typename Aug>
 void RTree<D, Aug>::BulkLoadSorted(const std::vector<Entry>& sorted_records,
                                    double fill) {
-  nodes_.clear();
-  free_nodes_.clear();
-  node_decoder_ = nullptr;
-  node_once_.reset();
-  materialized_nodes_.reset();
   const PackLayout layout =
       ComputePackLayout(sorted_records.size(), options_, fill);
-  nodes_.resize(layout.node_count);
-  auto sink = [this](NodeId id, uint16_t level, std::vector<Entry>* entries) {
-    nodes_[id] = Node{level, std::move(*entries)};
-    return Status::OK();
+  mapped_ = nullptr;
+  free_nodes_.clear();
+  node_count_ = static_cast<uint32_t>(layout.node_count);
+  arena_.assign(layout.node_count * codec_.slot_bytes(), '\0');
+  auto sink = [this](NodeId id, uint16_t level,
+                     std::span<const Entry> entries) {
+    return codec_.EncodeSlot(
+        level, entries, arena_.data() + size_t{id} * codec_.slot_bytes());
   };
   LevelPacker<D, Aug, decltype(sink)> packer(layout, sink);
   for (const Entry& e : sorted_records) STPQ_CHECK(packer.Add(e).ok());
@@ -231,6 +231,35 @@ void RTree<D, Aug>::BulkLoadSorted(const std::vector<Entry>& sorted_records,
   root_ = layout.root;
   height_ = layout.height;
   size_ = sorted_records.size();
+}
+
+/// How an index organizes its records at build time.
+enum class BulkLoadKind {
+  kHilbert,  ///< Hilbert-sort packing (Kamel & Faloutsos [9]; the paper's choice)
+  kStr,      ///< Sort-Tile-Recursive packing (spatial-only; ablation)
+  kInsert,   ///< one-at-a-time Guttman insertion (ablation/testing)
+};
+
+/// Fills `tree` with `*records` as `kind` says: packed after a Hilbert
+/// sort over the records' domain or an STR sort (which reorder
+/// `*records`), or inserted one by one.
+template <int D, typename Aug>
+void BuildTree(RTree<D, Aug>* tree,
+               std::vector<typename RTree<D, Aug>::Entry>* records,
+               BulkLoadKind kind, double fill) {
+  switch (kind) {
+    case BulkLoadKind::kHilbert:
+      SortByHilbertKey<D, Aug>(records, ComputeDomain<D, Aug>(*records),
+                               kHilbertBitsPerDim);
+      break;
+    case BulkLoadKind::kStr:
+      SortSTR<D, Aug>(records, tree->options().geometry.max_entries);
+      break;
+    case BulkLoadKind::kInsert:
+      for (const auto& r : *records) tree->Insert(r.rect, r.id, r.aug);
+      return;
+  }
+  tree->BulkLoadSorted(*records, fill);
 }
 
 }  // namespace stpq

@@ -11,39 +11,35 @@
 // Merge() so internal entries summarize their subtrees (e.s and e.W of
 // Section 4.1 are exactly such summaries).
 //
-// Every node access is charged to a BufferPool to simulate disk residency.
+// A node exists only as its fixed-width slot (rtree/node_codec.h): a built
+// tree owns its slots in one arena, an opened tree reads them from the
+// .stpqx file mapping.  Readers get a NodeView over the slot; every node
+// access is charged to a BufferPool to simulate disk residency.
 #ifndef STPQ_RTREE_RTREE_H_
 #define STPQ_RTREE_RTREE_H_
 
 #include <algorithm>
-#include <atomic>
+#include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <memory>
-#include <mutex>
+#include <span>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "geom/rect.h"
+#include "rtree/node_codec.h"
 #include "storage/buffer_pool.h"
 #include "util/logging.h"
 
 namespace stpq {
 
-using NodeId = uint32_t;
-inline constexpr NodeId kInvalidNodeId = std::numeric_limits<NodeId>::max();
-
-/// Augmentation for plain R-trees (no extra per-entry payload).
-struct NoAug {
-  static NoAug Merge(const NoAug&, const NoAug&) { return {}; }
-};
-
 /// R-tree sizing and storage knobs.
 struct RTreeOptions {
-  /// Maximum entries per node (fan-out).  Derive from the page size with
-  /// FanOutForPage() to mirror a disk layout.
-  uint32_t max_entries = 64;
+  /// Fan-out, augmentation layout and page size.  Derive it with an
+  /// index's Geometry() to mirror a disk layout, so a built tree's slots
+  /// are the bytes Save writes.
+  TreeGeometry geometry;
   /// Minimum fill after a split, as a fraction of max_entries.
   double min_fill = 0.4;
   /// Pool charged on node access; may be nullptr (no I/O accounting).
@@ -66,53 +62,49 @@ inline uint32_t FanOutForPage(uint32_t page_bytes, int dims,
 /// max(2, max_entries * min_fill).
 inline uint32_t MinEntriesFor(const RTreeOptions& options) {
   return std::max<uint32_t>(
-      2, static_cast<uint32_t>(options.max_entries * options.min_fill));
+      2, static_cast<uint32_t>(options.geometry.max_entries *
+                               options.min_fill));
 }
 
-/// Page geometry of one index tree: fan-out and per-entry augmentation
-/// layout.  Each index type derives it in one static function
-/// (ObjectIndex::Geometry, SrtIndex::Geometry, Ir2Tree::Geometry) that the
-/// builders, the .stpqx reader and the external planner all call.
-struct TreeGeometry {
-  uint32_t max_entries = 0;  ///< entries per node (page)
-  uint32_t aug_bits = 0;     ///< keyword bits per entry (universe/signature)
-  uint32_t aug_words = 0;    ///< 64-bit words persisted for those bits
-  uint32_t aug_bytes = 0;    ///< persisted augmentation bytes per entry
-};
-
-/// Tree options of an index: fan-out from its geometry, pool and page base
-/// from its build options (ObjectIndexOptions, FeatureIndexOptions).
+/// Tree options of an index: its geometry, and pool and page base from its
+/// build options (ObjectIndexOptions, FeatureIndexOptions).
 template <typename IndexOptions>
 RTreeOptions TreeOptionsFor(const IndexOptions& options,
                             const TreeGeometry& geometry) {
   RTreeOptions t;
-  t.max_entries = geometry.max_entries;
+  t.geometry = geometry;
   t.buffer_pool = options.buffer_pool;
   t.page_base = options.page_base;
   return t;
 }
 
+/// A persisted tree handed to RTree::Adopt (io/index_file.*).  Its slots
+/// stay in a file mapping the caller keeps alive.
+struct RestoredTreeData {
+  std::vector<NodeId> free_nodes;
+  NodeId root = kInvalidNodeId;
+  uint32_t height = 0;
+  uint64_t size = 0;
+  uint32_t node_count = 0;
+  const char* mapped = nullptr;
+};
+
 /// R-tree over D-dimensional rectangles with Aug-augmented entries.
 ///
-/// Aug must provide `static Aug Merge(const Aug&, const Aug&)`.
+/// Aug must provide `static Aug Merge(const Aug&, const Aug&)` and an
+/// AugCodec (rtree/node_codec.h).
 template <int D, typename Aug = NoAug>
 class RTree {
  public:
-  struct Entry {
-    Rect<D> rect;
-    uint32_t id;  ///< child NodeId (internal) or caller's record id (leaf)
-    Aug aug;
-  };
+  using Entry = NodeEntry<D, Aug>;
+  using Node = DecodedNode<D, Aug>;
+  using View = NodeView<D, Aug>;
 
-  struct Node {
-    uint16_t level = 0;  ///< 0 = leaf
-    std::vector<Entry> entries;
-    bool IsLeaf() const { return level == 0; }
-  };
-
-  explicit RTree(RTreeOptions options = {}) : options_(options) {
-    STPQ_CHECK(options_.max_entries >= 4);
-    min_entries_ = MinEntriesFor(options_);
+  explicit RTree(RTreeOptions options = {})
+      : options_(options),
+        codec_(options.geometry),
+        min_entries_(MinEntriesFor(options)) {
+    STPQ_CHECK(options_.geometry.max_entries >= 4);
   }
 
   /// Number of indexed records.
@@ -121,139 +113,107 @@ class RTree {
 
   [[nodiscard]] NodeId root_id() const { return root_; }
   [[nodiscard]] uint32_t height() const { return height_; }
-  [[nodiscard]] uint32_t node_count() const {
-    return static_cast<uint32_t>(nodes_.size());
-  }
+  [[nodiscard]] uint32_t node_count() const { return node_count_; }
   /// Nodes currently on the free list (recycled by CondenseTree).
   [[nodiscard]] uint32_t free_node_count() const {
     return static_cast<uint32_t>(free_nodes_.size());
   }
   [[nodiscard]] uint32_t min_entries() const { return min_entries_; }
   [[nodiscard]] const RTreeOptions& options() const { return options_; }
+  [[nodiscard]] const NodeCodec<D, Aug>& codec() const { return codec_; }
 
-  /// Reads a node, charging the buffer pool for the page access.
-  const Node& ReadNode(NodeId id) const {
-    STPQ_DCHECK(id < nodes_.size());
-    if (node_decoder_) MaterializeNode(id);
+  /// Reads a node in place, charging the buffer pool for the page access.
+  [[nodiscard]] View ReadNode(NodeId id) const {
     if (options_.buffer_pool != nullptr) {
       options_.buffer_pool->Access(options_.page_base + id);
     }
-    return nodes_[id];
+    return PeekView(id);
   }
 
-  /// Reads a node without charging the buffer pool.  Used by the
-  /// debug/validate.h validators (and tests) so a structural check does not
-  /// distort I/O accounting.
-  [[nodiscard]] const Node& PeekNode(NodeId id) const {
-    STPQ_DCHECK(id < nodes_.size());
-    if (node_decoder_) MaterializeNode(id);
-    return nodes_[id];
+  /// Reads a node in place without charging the buffer pool.  Used by the
+  /// debug/validate.h validators, index statistics and tree maintenance so
+  /// a structural walk does not distort I/O accounting.
+  [[nodiscard]] View PeekView(NodeId id) const {
+    STPQ_DCHECK(id < node_count_);
+    return codec_.View(Slot(id));
   }
 
-  /// Mutable node access for deliberate-corruption invariant tests only;
-  /// library code never calls this.
-  [[nodiscard]] Node& MutableNodeForTest(NodeId id) {
-    STPQ_CHECK(id < nodes_.size());
-    if (node_decoder_) MaterializeNode(id);
-    return nodes_[id];
+  /// Decodes node `id` out of its slot, uncharged: the whole entries, for
+  /// the code that edits nodes or checks them entry by entry.
+  [[nodiscard]] Node PeekNode(NodeId id) const {
+    STPQ_DCHECK(id < node_count_);
+    return codec_.DecodeSlot(Slot(id));
   }
 
-  /// Serialization hooks (storage/index_file.*): the raw node array and
-  /// free list.  Persisting both keeps NodeIds — and therefore page ids and
-  /// golden I/O counts — identical across a save/load round trip.
-  [[nodiscard]] const std::vector<Node>& nodes() const {
-    MaterializeEach();
-    return nodes_;
+  /// Re-encodes `node` into slot `id`, bypassing every tree invariant:
+  /// for deliberate-corruption invariant tests only.
+  void OverwriteNodeForTest(NodeId id, const Node& node) {
+    StoreNode(id, node);
   }
+
+  /// Every slot, node i at i * codec().slot_bytes(), free ones included:
+  /// what index files store verbatim.  Persisting them with the free list
+  /// keeps NodeIds — and therefore page ids and golden I/O counts —
+  /// identical across a save/load round trip.
+  [[nodiscard]] std::string_view slots() const {
+    return {Base(), size_t{node_count_} * codec_.slot_bytes()};
+  }
+  /// Slot bytes this tree owns; 0 when it reads a file mapping.
+  [[nodiscard]] size_t owned_slot_bytes() const { return arena_.size(); }
   [[nodiscard]] const std::vector<NodeId>& free_nodes() const {
     return free_nodes_;
   }
 
-  /// Replaces the tree structure wholesale with deserialized state
-  /// (storage/index_file.*).  The caller is responsible for consistency
-  /// (checksums at read time, deep validators after the engine is open);
-  /// node ids are adopted exactly as given.
-  void Restore(std::vector<Node> nodes, std::vector<NodeId> free_nodes,
-               NodeId root, uint32_t height, uint64_t size) {
-    nodes_ = std::move(nodes);
-    free_nodes_ = std::move(free_nodes);
-    root_ = root;
-    height_ = height;
-    size_ = size;
+  /// Replaces the tree wholesale with a persisted one.  The caller is
+  /// responsible for consistency (checksums and slot headers at read
+  /// time, deep validators after the engine is open); node ids are
+  /// adopted exactly as given.  An adopted tree is read-only.
+  void Adopt(RestoredTreeData restored) {
+    arena_ = {};
+    mapped_ = restored.mapped;
+    node_count_ = restored.node_count;
+    free_nodes_ = std::move(restored.free_nodes);
+    root_ = restored.root;
+    height_ = restored.height;
+    size_ = restored.size;
     path_.clear();
-    node_decoder_ = nullptr;
-    node_once_.reset();
-    materialized_nodes_.reset();
-  }
-
-  /// Restore variant that defers node payloads: `decoder` fills node `id`
-  /// on first access (one file slot read), so opening a large index does
-  /// not pull every node segment into memory.  Decoding is memoized per
-  /// node (std::call_once, safe under concurrent readers).  Const
-  /// whole-tree walks (nodes()/CheckInvariants) decode every node through
-  /// the same once flags and keep the lazy state, so they may run beside
-  /// queries (Engine::Save on an opened engine); only structural mutation
-  /// (Insert/Delete) drops back to eager mode.
-  void RestoreLazy(uint32_t node_count, std::vector<NodeId> free_nodes,
-                   NodeId root, uint32_t height, uint64_t size,
-                   std::function<void(NodeId, Node*)> decoder) {
-    nodes_.assign(node_count, Node{});
-    free_nodes_ = std::move(free_nodes);
-    root_ = root;
-    height_ = height;
-    size_ = size;
-    path_.clear();
-    node_decoder_ = std::move(decoder);
-    node_once_ = node_count > 0 ? std::make_unique<std::once_flag[]>(node_count)
-                                : nullptr;
-    materialized_nodes_ = std::make_unique<std::atomic<uint64_t>>(0);
-  }
-
-  /// Nodes decoded so far on a lazily restored tree; equals node_count()
-  /// once the tree is eager.  Test hook for the header-only-open contract.
-  [[nodiscard]] uint64_t materialized_node_count() const {
-    if (node_decoder_ && materialized_nodes_ != nullptr) {
-      return materialized_nodes_->load(std::memory_order_relaxed);
-    }
-    return nodes_.size();
   }
 
   /// Inserts one record.
   void Insert(const Rect<D>& rect, uint32_t record_id, const Aug& aug = {}) {
-    DropLazyState();
     if (root_ == kInvalidNodeId) {
       root_ = NewNode(0);
       height_ = 1;
     }
     path_.clear();
-    NodeId leaf = ChooseLeaf(rect);
-    nodes_[leaf].entries.push_back(Entry{rect, record_id, aug});
+    const NodeId leaf = ChooseLeaf(rect);
+    Node node = PeekNode(leaf);
+    node.entries.push_back(Entry{rect, record_id, aug});
     ++size_;
-    PropagateUp(leaf);
-    STPQ_DCHECK(nodes_[root_].level + 1u == height_);
+    PropagateUp(leaf, std::move(node));
+    STPQ_DCHECK(PeekView(root_).level() + 1u == height_);
   }
 
   /// Deletes the record with `record_id` stored under exactly `rect`
   /// (Guttman's Delete with CondenseTree re-insertion).  Returns false if
   /// no such record exists.
   bool Delete(const Rect<D>& rect, uint32_t record_id) {
-    DropLazyState();
     if (root_ == kInvalidNodeId) return false;
     path_.clear();
     if (!FindLeaf(root_, rect, record_id)) return false;
-    NodeId leaf = path_.empty() ? root_
-                                : nodes_[path_.back().first]
-                                      .entries[path_.back().second]
-                                      .id;
-    std::vector<Entry>& entries = nodes_[leaf].entries;
-    for (size_t i = 0; i < entries.size(); ++i) {
-      if (entries[i].id == record_id && RectsEqual(entries[i].rect, rect)) {
-        entries.erase(entries.begin() + i);
+    const NodeId leaf =
+        path_.empty() ? root_
+                      : PeekView(path_.back().first).id(path_.back().second);
+    Node node = PeekNode(leaf);
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      if (node.entries[i].id == record_id &&
+          RectsEqual(node.entries[i].rect, rect)) {
+        node.entries.erase(node.entries.begin() + i);
         break;
       }
     }
     --size_;
-    CondenseTree(leaf);
+    CondenseTree(leaf, std::move(node));
     return true;
   }
 
@@ -267,7 +227,7 @@ class RTree {
 
   /// Parent entry for a node holding `entries` (MBR union + Aug merge):
   /// the one summary fold of insertion, bulk packing and CheckInvariants.
-  static Entry Summarize(const std::vector<Entry>& entries, NodeId id) {
+  static Entry Summarize(std::span<const Entry> entries, NodeId id) {
     STPQ_DCHECK(!entries.empty());
     Entry out;
     out.id = id;
@@ -280,7 +240,7 @@ class RTree {
     return out;
   }
 
-  /// Calls `fn(record_id, rect, aug)` for every leaf record whose rectangle
+  /// Calls `fn(record_id, rect)` for every leaf record whose rectangle
   /// intersects `range`.
   template <typename Fn>
   void ForEachInRange(const Rect<D>& range, Fn&& fn) const {
@@ -290,13 +250,14 @@ class RTree {
     while (!stack.empty()) {
       NodeId nid = stack.back();
       stack.pop_back();
-      const Node& node = ReadNode(nid);
-      for (const Entry& e : node.entries) {
-        if (!range.Intersects(e.rect)) continue;
+      const View node = ReadNode(nid);
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        const Rect<D> r = node.rect(i);
+        if (!range.Intersects(r)) continue;
         if (node.IsLeaf()) {
-          fn(e.id, e.rect, e.aug);
+          fn(node.id(i), r);
         } else {
-          stack.push_back(e.id);
+          stack.push_back(node.id(i));
         }
       }
     }
@@ -306,48 +267,43 @@ class RTree {
   /// (test hook).  `aug_equal` compares augmentation values.
   template <typename AugEq>
   bool CheckInvariants(AugEq&& aug_equal) const {
-    MaterializeEach();
     if (root_ == kInvalidNodeId) return true;
     return CheckNode(root_, height_ - 1, aug_equal);
   }
 
  private:
-  /// Decodes node `id` exactly once (safe under concurrent readers).
-  void MaterializeNode(NodeId id) const {
-    std::call_once(node_once_[id], [&] {
-      node_decoder_(id, &nodes_[id]);
-      materialized_nodes_->fetch_add(1, std::memory_order_relaxed);
-    });
+  const char* Base() const {
+    return mapped_ != nullptr ? mapped_ : arena_.data();
+  }
+  const char* Slot(NodeId id) const {
+    return Base() + size_t{id} * codec_.slot_bytes();
   }
 
-  /// Decodes every node through its once flag, leaving the lazy state in
-  /// place: safe concurrently with readers.
-  void MaterializeEach() const {
-    if (!node_decoder_) return;
-    for (NodeId id = 0; id < nodes_.size(); ++id) MaterializeNode(id);
+  /// Encodes `node` into its slot.  Only trees that own their slots are
+  /// mutable; node sizes stay within the fan-out by construction.
+  void StoreNode(NodeId id, const Node& node) {
+    STPQ_CHECK(mapped_ == nullptr && "an opened tree is read-only");
+    STPQ_DCHECK(id < node_count_);
+    char* slot = arena_.data() + size_t{id} * codec_.slot_bytes();
+    STPQ_CHECK(codec_.EncodeSlot(node.level, node.entries, slot).ok());
   }
 
-  /// Decodes every node and drops back to eager mode, so structural
-  /// mutation (which creates node ids beyond the once-flag array) is safe.
-  /// Mutation is never concurrent with readers.
-  void DropLazyState() {
-    MaterializeEach();
-    node_decoder_ = nullptr;
-    node_once_.reset();
-  }
   NodeId NewNode(uint16_t level) {
+    NodeId id;
     if (!free_nodes_.empty()) {
-      NodeId id = free_nodes_.back();
+      id = free_nodes_.back();
       free_nodes_.pop_back();
-      nodes_[id] = Node{level, {}};
-      return id;
+    } else {
+      id = node_count_++;
+      arena_.resize(arena_.size() + codec_.slot_bytes());
     }
-    nodes_.push_back(Node{level, {}});
-    return static_cast<NodeId>(nodes_.size() - 1);
+    StoreNode(id, Node{level, {}});
+    return id;
   }
 
+  /// Empties a node's slot (keeping its level) and recycles its id.
   void FreeNode(NodeId id) {
-    nodes_[id].entries.clear();
+    StoreNode(id, Node{PeekView(id).level(), {}});
     free_nodes_.push_back(id);
   }
 
@@ -361,49 +317,54 @@ class RTree {
   /// Depth-first search for the leaf holding (rect, record_id); fills
   /// path_ with the descent on success.
   bool FindLeaf(NodeId nid, const Rect<D>& rect, uint32_t record_id) {
-    const Node& node = nodes_[nid];
+    const View node = PeekView(nid);
     if (node.IsLeaf()) {
-      for (const Entry& e : node.entries) {
-        if (e.id == record_id && RectsEqual(e.rect, rect)) return true;
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        if (node.id(i) == record_id && RectsEqual(node.rect(i), rect)) {
+          return true;
+        }
       }
       return false;
     }
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      if (!node.entries[i].rect.ContainsRect(rect)) continue;
+    for (uint32_t i = 0; i < node.count(); ++i) {
+      if (!node.rect(i).ContainsRect(rect)) continue;
       path_.push_back({nid, i});
-      if (FindLeaf(node.entries[i].id, rect, record_id)) return true;
+      if (FindLeaf(node.id(i), rect, record_id)) return true;
       path_.pop_back();
     }
     return false;
   }
 
-  /// Guttman's CondenseTree: walks the recorded path upward, dissolving
-  /// underfull nodes and re-inserting their entries, then shrinks the root.
-  void CondenseTree(NodeId changed) {
+  /// Guttman's CondenseTree: walks the recorded path upward from `changed`
+  /// (whose edited content is `node`), dissolving underfull nodes and
+  /// re-inserting their entries, then shrinks the root.
+  void CondenseTree(NodeId changed, Node node) {
     std::vector<std::pair<Entry, uint16_t>> orphans;  // entry, node level
     while (!path_.empty()) {
       auto [parent, slot] = path_.back();
       path_.pop_back();
-      if (nodes_[changed].entries.size() < min_entries_) {
-        for (const Entry& e : nodes_[changed].entries) {
-          orphans.push_back({e, nodes_[changed].level});
-        }
+      Node parent_node = PeekNode(parent);
+      if (node.entries.size() < min_entries_) {
+        for (const Entry& e : node.entries) orphans.push_back({e, node.level});
         FreeNode(changed);
-        nodes_[parent].entries.erase(nodes_[parent].entries.begin() + slot);
+        parent_node.entries.erase(parent_node.entries.begin() + slot);
       } else {
-        nodes_[parent].entries[slot] = SummarizeNode(changed);
+        StoreNode(changed, node);
+        parent_node.entries[slot] = Summarize(node.entries, changed);
       }
       changed = parent;
+      node = std::move(parent_node);
     }
+    StoreNode(changed, node);
     // Shrink the root while it is an internal node with a single child.
-    while (root_ != kInvalidNodeId && !nodes_[root_].IsLeaf() &&
-           nodes_[root_].entries.size() == 1) {
+    while (root_ != kInvalidNodeId && !PeekView(root_).IsLeaf() &&
+           PeekView(root_).count() == 1) {
       NodeId old = root_;
-      root_ = nodes_[root_].entries[0].id;
+      root_ = PeekView(root_).id(0);
       FreeNode(old);
       --height_;
     }
-    if (root_ != kInvalidNodeId && nodes_[root_].entries.empty()) {
+    if (root_ != kInvalidNodeId && PeekView(root_).count() == 0) {
       FreeNode(root_);
       root_ = kInvalidNodeId;
       height_ = 0;
@@ -423,7 +384,7 @@ class RTree {
   /// Inserts a subtree entry at a node of exactly `node_level`.  Falls back
   /// to record-level re-insertion when the tree is now too shallow.
   void InsertAtLevel(const Entry& entry, uint16_t node_level) {
-    if (root_ == kInvalidNodeId || nodes_[root_].level < node_level) {
+    if (root_ == kInvalidNodeId || PeekView(root_).level() < node_level) {
       // The tree shrank below the orphan's level: re-insert its records.
       ReinsertRecords(entry.id);
       FreeSubtree(entry.id);
@@ -431,22 +392,23 @@ class RTree {
     }
     path_.clear();
     NodeId cur = root_;
-    while (nodes_[cur].level != node_level) {
-      const Node& node = nodes_[cur];
-      size_t best = 0;
+    while (PeekView(cur).level() != node_level) {
+      const View node = PeekView(cur);
+      uint32_t best = 0;
       double best_enlarge = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        double enlarge = node.entries[i].rect.EnlargementArea(entry.rect);
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        double enlarge = node.rect(i).EnlargementArea(entry.rect);
         if (enlarge < best_enlarge) {
           best = i;
           best_enlarge = enlarge;
         }
       }
       path_.push_back({cur, best});
-      cur = node.entries[best].id;
+      cur = node.id(best);
     }
-    nodes_[cur].entries.push_back(entry);
-    PropagateUp(cur);
+    Node node = PeekNode(cur);
+    node.entries.push_back(entry);
+    PropagateUp(cur, std::move(node));
   }
 
   /// Re-inserts every leaf record under node `nid` (fallback path).
@@ -456,7 +418,7 @@ class RTree {
     while (!stack.empty()) {
       NodeId cur = stack.back();
       stack.pop_back();
-      const Node& node = nodes_[cur];
+      const Node node = PeekNode(cur);
       for (const Entry& e : node.entries) {
         if (node.IsLeaf()) {
           records.push_back(e);
@@ -477,29 +439,27 @@ class RTree {
     while (!stack.empty()) {
       NodeId cur = stack.back();
       stack.pop_back();
-      if (!nodes_[cur].IsLeaf()) {
-        for (const Entry& e : nodes_[cur].entries) stack.push_back(e.id);
+      const View node = PeekView(cur);
+      if (!node.IsLeaf()) {
+        for (uint32_t i = 0; i < node.count(); ++i) stack.push_back(node.id(i));
       }
       FreeNode(cur);
     }
-  }
-
-  Entry SummarizeNode(NodeId nid) const {
-    return Summarize(nodes_[nid].entries, nid);
   }
 
   /// Descends to the leaf with minimal area enlargement, recording the path
   /// (node id, entry index within parent) for the upward adjustment pass.
   NodeId ChooseLeaf(const Rect<D>& rect) {
     NodeId cur = root_;
-    while (!nodes_[cur].IsLeaf()) {
-      const Node& node = nodes_[cur];
-      size_t best = 0;
+    while (!PeekView(cur).IsLeaf()) {
+      const View node = PeekView(cur);
+      uint32_t best = 0;
       double best_enlarge = std::numeric_limits<double>::infinity();
       double best_area = std::numeric_limits<double>::infinity();
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        double enlarge = node.entries[i].rect.EnlargementArea(rect);
-        double area = node.entries[i].rect.Area();
+      for (uint32_t i = 0; i < node.count(); ++i) {
+        const Rect<D> r = node.rect(i);
+        double enlarge = r.EnlargementArea(rect);
+        double area = r.Area();
         if (enlarge < best_enlarge ||
             (enlarge == best_enlarge && area < best_area)) {
           best = i;
@@ -508,25 +468,34 @@ class RTree {
         }
       }
       path_.push_back({cur, best});
-      cur = node.entries[best].id;
+      cur = node.id(best);
     }
     return cur;
   }
 
-  /// Walks the recorded path upward: splits overflowing nodes and refreshes
-  /// the parent entries' MBR/augmentation.
-  void PropagateUp(NodeId changed) {
+  /// Walks the recorded path upward from `changed`, whose edited content is
+  /// `node` (possibly one entry over the fan-out): splits overflowing
+  /// nodes, stores every node it touches and refreshes the parent entries'
+  /// MBR/augmentation.
+  void PropagateUp(NodeId changed, Node node) {
     while (true) {
-      bool overflow = nodes_[changed].entries.size() > options_.max_entries;
       NodeId sibling = kInvalidNodeId;
-      if (overflow) sibling = SplitNode(changed);
+      Node sibling_node;
+      if (node.entries.size() > options_.geometry.max_entries) {
+        sibling = SplitNode(&node, &sibling_node);
+        StoreNode(sibling, sibling_node);
+      }
+      StoreNode(changed, node);
 
       if (path_.empty()) {
         if (sibling != kInvalidNodeId) {
           // Root split: grow the tree by one level.
-          NodeId new_root = NewNode(nodes_[changed].level + 1);
-          nodes_[new_root].entries.push_back(SummarizeNode(changed));
-          nodes_[new_root].entries.push_back(SummarizeNode(sibling));
+          const uint16_t level = static_cast<uint16_t>(node.level + 1);
+          NodeId new_root = NewNode(level);
+          StoreNode(new_root,
+                    Node{level,
+                         {Summarize(node.entries, changed),
+                          Summarize(sibling_node.entries, sibling)}});
           root_ = new_root;
           ++height_;
         }
@@ -535,19 +504,27 @@ class RTree {
 
       auto [parent, slot] = path_.back();
       path_.pop_back();
-      nodes_[parent].entries[slot] = SummarizeNode(changed);
+      Node parent_node = PeekNode(parent);
+      parent_node.entries[slot] = Summarize(node.entries, changed);
       if (sibling != kInvalidNodeId) {
-        nodes_[parent].entries.push_back(SummarizeNode(sibling));
+        parent_node.entries.push_back(Summarize(sibling_node.entries, sibling));
       }
       changed = parent;
+      node = std::move(parent_node);
     }
   }
 
-  /// Quadratic split (Guttman).  Returns the new sibling's id.
-  NodeId SplitNode(NodeId nid) {
-    std::vector<Entry> all = std::move(nodes_[nid].entries);
-    nodes_[nid].entries.clear();
-    NodeId sid = NewNode(nodes_[nid].level);
+  /// Quadratic split (Guttman) of the overflowing `node`: keeps one group
+  /// in `node`, moves the other to `sibling` and returns the sibling's new
+  /// node id.
+  NodeId SplitNode(Node* node, Node* sibling) {
+    std::vector<Entry> all = std::move(node->entries);
+    node->entries.clear();
+    const NodeId sid = NewNode(node->level);
+    sibling->level = node->level;
+    sibling->entries.clear();
+    std::vector<Entry>& group_a = node->entries;
+    std::vector<Entry>& group_b = sibling->entries;
 
     // Pick the pair of seeds wasting the most area together.
     size_t seed_a = 0, seed_b = 1;
@@ -569,29 +546,27 @@ class RTree {
     std::vector<bool> assigned(all.size(), false);
     Rect<D> rect_a = all[seed_a].rect;
     Rect<D> rect_b = all[seed_b].rect;
-    nodes_[nid].entries.push_back(all[seed_a]);
-    nodes_[sid].entries.push_back(all[seed_b]);
+    group_a.push_back(all[seed_a]);
+    group_b.push_back(all[seed_b]);
     assigned[seed_a] = assigned[seed_b] = true;
     size_t remaining = all.size() - 2;
 
     while (remaining > 0) {
-      size_t count_a = nodes_[nid].entries.size();
-      size_t count_b = nodes_[sid].entries.size();
       // Force-assign if one side must take all the rest to reach min fill.
-      if (count_a + remaining == min_entries_) {
+      if (group_a.size() + remaining == min_entries_) {
         for (size_t i = 0; i < all.size(); ++i) {
           if (!assigned[i]) {
-            nodes_[nid].entries.push_back(all[i]);
+            group_a.push_back(all[i]);
             rect_a.Enlarge(all[i].rect);
             assigned[i] = true;
           }
         }
         break;
       }
-      if (count_b + remaining == min_entries_) {
+      if (group_b.size() + remaining == min_entries_) {
         for (size_t i = 0; i < all.size(); ++i) {
           if (!assigned[i]) {
-            nodes_[sid].entries.push_back(all[i]);
+            group_b.push_back(all[i]);
             rect_b.Enlarge(all[i].rect);
             assigned[i] = true;
           }
@@ -620,13 +595,13 @@ class RTree {
       } else if (rect_a.Area() != rect_b.Area()) {
         to_a = rect_a.Area() < rect_b.Area();
       } else {
-        to_a = nodes_[nid].entries.size() <= nodes_[sid].entries.size();
+        to_a = group_a.size() <= group_b.size();
       }
       if (to_a) {
-        nodes_[nid].entries.push_back(all[pick]);
+        group_a.push_back(all[pick]);
         rect_a.Enlarge(all[pick].rect);
       } else {
-        nodes_[sid].entries.push_back(all[pick]);
+        group_b.push_back(all[pick]);
         rect_b.Enlarge(all[pick].rect);
       }
       assigned[pick] = true;
@@ -634,20 +609,20 @@ class RTree {
     }
     // Split postcondition: both halves meet the fill bounds (the parent
     // entry for `sid` is appended by PropagateUp right after this returns).
-    STPQ_DCHECK(nodes_[nid].entries.size() >= min_entries_ &&
-                nodes_[nid].entries.size() <= options_.max_entries);
-    STPQ_DCHECK(nodes_[sid].entries.size() >= min_entries_ &&
-                nodes_[sid].entries.size() <= options_.max_entries);
+    STPQ_DCHECK(group_a.size() >= min_entries_ &&
+                group_a.size() <= options_.geometry.max_entries);
+    STPQ_DCHECK(group_b.size() >= min_entries_ &&
+                group_b.size() <= options_.geometry.max_entries);
     return sid;
   }
 
   template <typename AugEq>
   bool CheckNode(NodeId nid, uint16_t expected_level, AugEq& aug_equal) const {
-    const Node& node = nodes_[nid];
+    const Node node = PeekNode(nid);
     if (node.level != expected_level) return false;
     if (node.IsLeaf()) return true;
     for (const Entry& e : node.entries) {
-      const Node& child = nodes_[e.id];
+      const Node child = PeekNode(e.id);
       if (child.entries.empty()) return false;
       const Entry expect = Summarize(child.entries, e.id);
       if (!RectsEqual(expect.rect, e.rect)) return false;
@@ -658,15 +633,13 @@ class RTree {
   }
 
   RTreeOptions options_;
+  NodeCodec<D, Aug> codec_;
   uint32_t min_entries_;
-  /// Mutable so const readers of a lazily restored tree can decode node
-  /// payloads in place (memoized via node_once_).
-  mutable std::vector<Node> nodes_;
-  /// Lazy-restore state (RestoreLazy); empty/null on eager trees.  Only
-  /// Insert/Delete/Restore reset it, never a const member.
-  std::function<void(NodeId, Node*)> node_decoder_;
-  std::unique_ptr<std::once_flag[]> node_once_;
-  std::unique_ptr<std::atomic<uint64_t>> materialized_nodes_;
+  /// Owned slots of a built tree; empty when `mapped_` points at the slots
+  /// of an opened tree inside a file mapping.
+  std::vector<char> arena_;
+  const char* mapped_ = nullptr;
+  uint32_t node_count_ = 0;
   std::vector<NodeId> free_nodes_;
   NodeId root_ = kInvalidNodeId;
   uint32_t height_ = 0;
@@ -674,36 +647,6 @@ class RTree {
   // Descent path scratch (node id, entry slot in that node's parent role).
   std::vector<std::pair<NodeId, size_t>> path_;
 };
-
-/// Deserialized tree payload adopted by the index restore constructors
-/// (storage/index_file.*).  When `decoder` is set the payload is lazy:
-/// `nodes` stays empty, `node_count` sizes the tree, and the decoder fills
-/// one node slot on first access (RTree::RestoreLazy); otherwise `nodes`
-/// holds the materialized array (RTree::Restore).
-template <int D, typename Aug = NoAug>
-struct RestoredTreeData {
-  std::vector<typename RTree<D, Aug>::Node> nodes;
-  std::vector<NodeId> free_nodes;
-  NodeId root = kInvalidNodeId;
-  uint32_t height = 0;
-  uint64_t size = 0;
-  uint32_t node_count = 0;
-  std::function<void(NodeId, typename RTree<D, Aug>::Node*)> decoder;
-};
-
-/// Routes a restored payload to Restore or RestoreLazy; the one call the
-/// index restore constructors make.
-template <int D, typename Aug>
-void AdoptRestoredTree(RTree<D, Aug>* tree, RestoredTreeData<D, Aug> restored) {
-  if (restored.decoder) {
-    tree->RestoreLazy(restored.node_count, std::move(restored.free_nodes),
-                      restored.root, restored.height, restored.size,
-                      std::move(restored.decoder));
-  } else {
-    tree->Restore(std::move(restored.nodes), std::move(restored.free_nodes),
-                  restored.root, restored.height, restored.size);
-  }
-}
 
 }  // namespace stpq
 

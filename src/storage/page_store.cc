@@ -1,6 +1,5 @@
 #include "storage/page_store.h"
 
-#include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -39,16 +38,12 @@ void SimulatedPageStore::FetchPage(PageId /*page*/) {
 // --------------------------------------------------------- FilePageStore
 
 Result<std::unique_ptr<FilePageStore>> FilePageStore::Open(
-    const std::string& path, std::vector<Extent> extents, IoMode mode) {
+    int fd, const std::string& path, std::vector<Extent> extents,
+    IoMode mode) {
   std::sort(extents.begin(), extents.end(),
             [](const Extent& a, const Extent& b) {
               return a.first_page < b.first_page;
             });
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IoError("cannot open index file '" + path +
-                           "': " + std::strerror(errno));
-  }
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
     const int err = errno;

@@ -72,19 +72,20 @@ class PageStore {
   /// buffer-pool miss, after the miss has been counted, so fetch totals
   /// mirror the pool's read counters exactly.  Infallible by design: a
   /// fetch that cannot be served (page outside every extent, read error)
-  /// bumps `io_errors` instead of failing the query — the simulated node
-  /// data in memory is still authoritative.  Must not allocate or block on
-  /// anything but the read itself.
+  /// bumps `io_errors` instead of failing the query, which goes on to read
+  /// the node's slot from the tree (its arena, or the file mapping that
+  /// Open already verified).  Must not allocate or block on anything but
+  /// the read itself.
   STPQ_HOT virtual void FetchPage(PageId page) = 0;
 
   [[nodiscard]] virtual StorageBackend backend() const = 0;
   [[nodiscard]] virtual PageStoreStats stats() const = 0;
 };
 
-/// Count-only store: preserves the pre-PageStore semantics where a miss
-/// moves no bytes.  An engine on the simulated backend does not install a
-/// store at all (null pointer, zero overhead); this class exists so tests
-/// and benches can exercise the BufferPool+store plumbing directly.
+/// Count-only store: a miss moves no bytes.  Every engine built in memory
+/// (Engine::Build, the simulated backend) installs one behind both of its
+/// buffer pools, so fetch counts are reported the same way for both
+/// backends.
 class SimulatedPageStore final : public PageStore {
  public:
   STPQ_HOT void FetchPage(PageId page) override;
@@ -121,12 +122,16 @@ class FilePageStore final : public PageStore {
     uint32_t slot_bytes = 0;    ///< bytes fetched per page access
   };
 
-  /// Opens `path` read-only and validates the extent table (sorted by
-  /// first_page, non-overlapping, inside the file).  Typed errors:
-  /// IoError when the file cannot be opened or mapped (kMmap mode),
-  /// InvalidArgument on a malformed extent table.
+  /// Opens a store over `fd`, a read-only descriptor of the index file
+  /// `path` (named in messages) that the store takes over, and closes on
+  /// failure too: the store serves the file the caller has read through
+  /// `fd`, even if `path` names another file by now.  Validates the extent
+  /// table (sorted by first_page, non-overlapping, inside the file).
+  /// Typed errors: IoError when `fd` cannot be stat'ed (e.g. -1 from a
+  /// failed open) or mapped (kMmap mode), InvalidArgument on a malformed
+  /// extent table.
   [[nodiscard]] static Result<std::unique_ptr<FilePageStore>> Open(
-      const std::string& path, std::vector<Extent> extents,
+      int fd, const std::string& path, std::vector<Extent> extents,
       IoMode mode = IoMode::kAuto);
 
   ~FilePageStore() override;
@@ -147,6 +152,12 @@ class FilePageStore final : public PageStore {
 
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] bool using_mmap() const { return map_ != nullptr; }
+  /// The whole file, mapped read-only; nullptr in pread mode.  Opened
+  /// R-trees read their node slots in place from here (LoadIndexFile opens
+  /// its store in kMmap mode), so the store must outlive them.
+  [[nodiscard]] const char* mapped_data() const {
+    return reinterpret_cast<const char*>(map_);
+  }
 
   /// Typed view of the most recent fetch failure: OK when io_errors is 0,
   /// IoError for a failed pread, Corruption for a torn page (EOF inside a

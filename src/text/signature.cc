@@ -71,33 +71,21 @@ Signature SignatureScheme::SetSignature(const KeywordSet& set) const {
   return sig;
 }
 
-bool SignatureScheme::CoversTerm(const Signature& signature,
-                                 TermId term) const {
+bool SignatureScheme::CoversTerm(WordView signature, TermId term) const {
   for (uint32_t j = 0; j < hashes_per_term_; ++j) {
-    if (!signature.TestBit(TermBit(term, j))) return false;
+    const uint32_t bit = TermBit(term, j);
+    if (((signature[bit / 64] >> (bit % 64)) & 1u) == 0) return false;
   }
   return true;
 }
 
-uint32_t SignatureScheme::UpperBoundIntersect(const Signature& signature,
+uint32_t SignatureScheme::UpperBoundIntersect(WordView signature,
                                               const KeywordSet& query) const {
   uint32_t n = 0;
   ForEachTerm(query, [&](TermId t) {
     if (CoversTerm(signature, t)) ++n;
   });
   return n;
-}
-
-bool SignatureScheme::MayIntersect(const Signature& signature,
-                                   const KeywordSet& query) const {
-  const std::vector<uint64_t>& blocks = query.blocks();
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    for (uint64_t b = blocks[i]; b != 0; b &= b - 1) {
-      const TermId t = static_cast<TermId>(i * 64 + std::countr_zero(b));
-      if (CoversTerm(signature, t)) return true;
-    }
-  }
-  return false;
 }
 
 }  // namespace stpq

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "text/keyword_set.h"
+#include "util/word_view.h"
 
 namespace stpq {
 
@@ -26,9 +27,6 @@ class Signature {
   uint32_t bits() const { return bits_; }
 
   void SetBit(uint32_t i) { words_[i / 64] |= uint64_t{1} << (i % 64); }
-  bool TestBit(uint32_t i) const {
-    return (words_[i / 64] >> (i % 64)) & 1u;
-  }
 
   /// OR-in another signature (node aggregation).
   void UnionWith(const Signature& other);
@@ -73,14 +71,13 @@ class SignatureScheme {
   /// Signature of a keyword set (OR of its terms' signatures).
   Signature SetSignature(const KeywordSet& set) const;
 
-  /// Upper bound on |set n query| given only `set`'s signature: the number
-  /// of query keywords whose term signature is covered.
-  uint32_t UpperBoundIntersect(const Signature& signature,
+  /// Upper bound on |set n query| given only the words of `set`'s
+  /// signature (a Signature's words(), or an IR2 entry's words in its
+  /// node slot): the number of query keywords whose term signature is
+  /// covered.
+  uint32_t UpperBoundIntersect(WordView signature,
                                const KeywordSet& query) const;
 
-  /// True iff at least one query keyword may be present (sim > 0 filter).
-  bool MayIntersect(const Signature& signature,
-                    const KeywordSet& query) const;
 
  private:
   /// The j-th hash bit of `term` (j < hashes_per_term_).
@@ -89,7 +86,7 @@ class SignatureScheme {
   /// Whether all of `term`'s hash bits are set in `signature` — the same
   /// answer as `signature.Covers(TermSignature(term))` without building
   /// the per-term Signature.
-  bool CoversTerm(const Signature& signature, TermId term) const;
+  bool CoversTerm(WordView signature, TermId term) const;
 
   uint32_t signature_bits_;
   uint32_t hashes_per_term_;

@@ -4,16 +4,29 @@
 // *warm* traversal scratch executes the range-variant component-score
 // kernel with zero heap allocations: after one warm-up pass has grown the
 // scratch vectors to their steady-state capacity, repeating the same
-// queries must not allocate at all.
+// queries must not allocate at all.  The kernel runs over three indexes:
+// a built SRT-index, a built IR2-tree (its signature bound reads the
+// entry words in place) and an SRT-index reopened from a saved .stpqx
+// (its nodes read in place from the file mapping).
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <atomic>
 #include <cstdlib>
+#include <filesystem>
 #include <new>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/compute_score.h"
+#include "core/engine.h"
 #include "gen/synthetic.h"
+#include "index/ir2_tree.h"
 #include "index/srt_index.h"
+#include "io/index_file.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 
@@ -39,113 +52,121 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace stpq {
 namespace {
 
+/// The three indexes every case runs over, none with a buffer pool (a pure
+/// in-memory traversal), over one dataset.
+class AllocationTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    SyntheticConfig cfg;
+    cfg.seed = 31;
+    cfg.num_objects = 32;
+    cfg.num_features_per_set = 5000;
+    cfg.num_feature_sets = 1;
+    cfg.vocabulary_size = 64;
+    cfg.num_clusters = 128;
+    ds_ = GenerateSynthetic(cfg);
+    FeatureIndexOptions opts;
+    srt_.emplace(&ds_.feature_tables[0], opts);
+    ir2_.emplace(&ds_.feature_tables[0], opts);
+
+    // Save, then reopen the SRT-index's tree from the file: its slots stay
+    // in the page store's mapping, which `loaded_` keeps alive.
+    path_ = (std::filesystem::temp_directory_path() /
+             ("stpq_alloc_test_" + std::to_string(::getpid()) + ".stpqx"))
+                .string();
+    Engine engine =
+        Engine::Build(ds_.objects,
+                      std::vector<FeatureTable>(ds_.feature_tables), {})
+            .TakeValue();
+    ASSERT_TRUE(engine.Save(path_).ok());
+    Result<LoadedIndex> loaded = LoadIndexFile(path_);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    loaded_ = loaded.TakeValue();
+    ASSERT_TRUE(loaded_.store->using_mmap());
+    reopened_.emplace(&loaded_.feature_tables[0], opts,
+                      std::move(loaded_.trees[1]));
+    ASSERT_EQ(reopened_->tree().owned_slot_bytes(), 0u);
+
+    Rng rng(32);
+    for (int i = 0; i < 16; ++i) {
+      points_.push_back({rng.Uniform(), rng.Uniform()});
+      KeywordSet kw(cfg.vocabulary_size);
+      kw.Insert(static_cast<TermId>(rng.UniformInt(0, 63)));
+      kw.Insert(static_cast<TermId>(rng.UniformInt(0, 63)));
+      queries_.push_back(std::move(kw));
+    }
+  }
+
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  std::vector<std::pair<const char*, const FeatureIndex*>> Indexes() const {
+    return {{"built SRT", &*srt_},
+            {"built IR2", &*ir2_},
+            {"reopened SRT", &*reopened_}};
+  }
+
+  /// Runs every query once with `scratch`; returns the summed best scores.
+  double RunAll(const FeatureIndex& index, QueryStats& stats,
+                TraversalScratch& scratch) const {
+    double total = 0.0;
+    for (size_t i = 0; i < points_.size(); ++i) {
+      total += ComputeBestRange(index, points_[i], queries_[i], 0.5, 0.08,
+                                stats, scratch)
+                   .score;
+    }
+    return total;
+  }
+
+  /// Warm-up pass (grows the scratch to steady state), then counts the
+  /// allocations of an identical second pass.
+  uint64_t WarmAllocations(const FeatureIndex& index, QueryStats& stats) const {
+    TraversalScratch scratch;
+    const double warm_total = RunAll(index, stats, scratch);
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    const double steady_total = RunAll(index, stats, scratch);
+    const uint64_t after = g_allocations.load(std::memory_order_relaxed);
+    EXPECT_DOUBLE_EQ(steady_total, warm_total) << index.Name();
+    return after - before;
+  }
+
+  Dataset ds_;
+  std::optional<SrtIndex> srt_;
+  std::optional<Ir2Tree> ir2_;
+  std::string path_;
+  LoadedIndex loaded_;
+  std::optional<SrtIndex> reopened_;
+  std::vector<Point> points_;
+  std::vector<KeywordSet> queries_;
+};
+
 // Tracing variant of the invariant: with the tracer recording into an
 // already-registered ring, the warm kernel still performs zero heap
 // allocations — TryEmit writes into preallocated ring slots, and a full
 // ring drops events instead of growing.
-TEST(AllocationTest, WarmTracedRangeTraversalAllocatesNothing) {
-  SyntheticConfig cfg;
-  cfg.seed = 31;
-  cfg.num_objects = 32;
-  cfg.num_features_per_set = 5000;
-  cfg.num_feature_sets = 1;
-  cfg.vocabulary_size = 64;
-  cfg.num_clusters = 128;
-  Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;
-  SrtIndex index(&ds.feature_tables[0], opts);
-
-  Rng rng(32);
-  std::vector<Point> points;
-  std::vector<KeywordSet> queries;
-  for (int i = 0; i < 16; ++i) {
-    points.push_back({rng.Uniform(), rng.Uniform()});
-    KeywordSet kw(cfg.vocabulary_size);
-    kw.Insert(static_cast<TermId>(rng.UniformInt(0, 63)));
-    kw.Insert(static_cast<TermId>(rng.UniformInt(0, 63)));
-    queries.push_back(std::move(kw));
-  }
-
-  QueryStats stats;
-  TraversalScratch scratch;
-  auto run_all = [&] {
-    double total = 0.0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      total += ComputeBestRange(index, points[i], queries[i], 0.5, 0.08,
-                                stats, scratch)
-                   .score;
-    }
-    return total;
-  };
-
+TEST_F(AllocationTest, WarmTracedRangeTraversalAllocatesNothing) {
   Tracer::Global().Start();
-  // Warm-up: grows the scratch vectors *and* registers this thread's
-  // trace ring (its single allocation happens here, once per process).
-  const double warm_total = run_all();
-
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  const double steady_total = run_all();
-  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-
+  for (const auto& [name, index] : Indexes()) {
+    // The warm-up pass also registers this thread's trace ring (its single
+    // allocation happens there, once per process).
+    QueryStats stats;
+    EXPECT_EQ(WarmAllocations(*index, stats), 0u)
+        << "warm traced range traversal over the " << name
+        << " index allocated";
+#if !defined(STPQ_DISABLE_TRACING)
+    // The traced run really recorded node visits (same counters either way).
+    EXPECT_GT(stats.traversal.FeatureVisited(), 0u) << name;
+#endif
+  }
   Tracer::Global().Stop();
   Tracer::Global().Discard();
-
-  EXPECT_EQ(after - before, 0u)
-      << "warm traced range traversal performed " << (after - before)
-      << " heap allocations";
-  EXPECT_DOUBLE_EQ(steady_total, warm_total);
-#if !defined(STPQ_DISABLE_TRACING)
-  // The traced run really recorded node visits (same counters either way).
-  EXPECT_GT(stats.traversal.FeatureVisited(), 0u);
-#endif
 }
 
-TEST(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
-  SyntheticConfig cfg;
-  cfg.seed = 31;
-  cfg.num_objects = 32;
-  cfg.num_features_per_set = 5000;
-  cfg.num_feature_sets = 1;
-  cfg.vocabulary_size = 64;
-  cfg.num_clusters = 128;
-  Dataset ds = GenerateSynthetic(cfg);
-  FeatureIndexOptions opts;  // no buffer pool: pure in-memory traversal
-  SrtIndex index(&ds.feature_tables[0], opts);
-
-  Rng rng(32);
-  std::vector<Point> points;
-  std::vector<KeywordSet> queries;
-  for (int i = 0; i < 16; ++i) {
-    points.push_back({rng.Uniform(), rng.Uniform()});
-    KeywordSet kw(cfg.vocabulary_size);
-    kw.Insert(static_cast<TermId>(rng.UniformInt(0, 63)));
-    kw.Insert(static_cast<TermId>(rng.UniformInt(0, 63)));
-    queries.push_back(std::move(kw));
+TEST_F(AllocationTest, WarmScratchRangeTraversalAllocatesNothing) {
+  for (const auto& [name, index] : Indexes()) {
+    QueryStats stats;
+    EXPECT_EQ(WarmAllocations(*index, stats), 0u)
+        << "warm range traversal over the " << name << " index allocated";
   }
-
-  QueryStats stats;
-  TraversalScratch scratch;
-  auto run_all = [&] {
-    double total = 0.0;
-    for (size_t i = 0; i < points.size(); ++i) {
-      total += ComputeBestRange(index, points[i], queries[i], 0.5, 0.08,
-                                stats, scratch)
-                   .score;
-    }
-    return total;
-  };
-
-  // Warm-up: grows scratch.heap / scratch.branches to steady state.
-  const double warm_total = run_all();
-
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  const double steady_total = run_all();
-  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-
-  EXPECT_EQ(after - before, 0u)
-      << "warm range traversal performed " << (after - before)
-      << " heap allocations";
-  EXPECT_DOUBLE_EQ(steady_total, warm_total);
 }
 
 }  // namespace

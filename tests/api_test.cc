@@ -365,6 +365,33 @@ TEST(IndexStatsTest, ReportsStructure) {
   EXPECT_FALSE(r.ToString().empty());
 }
 
+TEST(IndexStatsTest, AnalyzeIndexLeavesThePoolUntouched) {
+  // Index statistics are a structural walk, like the validators: they must
+  // read nodes without charging the buffer pool the engine's queries use.
+  SyntheticConfig cfg;
+  cfg.num_objects = 100;
+  cfg.num_features_per_set = 3000;
+  cfg.num_feature_sets = 1;
+  cfg.vocabulary_size = 64;
+  cfg.num_clusters = 200;
+  Dataset ds = GenerateSynthetic(cfg);
+  EngineOptions opts;
+  opts.storage.pool_capacity = 16;
+  Engine engine = Engine::Build(
+      ds.objects, std::vector<FeatureTable>(ds.feature_tables), opts)
+      .TakeValue();
+  const BufferPool& pool = engine.feature_pool();
+  const BufferPoolStats before = pool.stats();
+  const uint64_t resident_before = pool.resident_pages();
+  IndexStatsReport r =
+      AnalyzeIndex(dynamic_cast<const SrtIndex&>(engine.feature_index(0)));
+  EXPECT_GT(r.node_count, 16u);  // more nodes than the pool holds
+  const BufferPoolStats after = pool.stats();
+  EXPECT_EQ(after.reads, before.reads);
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(pool.resident_pages(), resident_before);
+}
+
 TEST(IndexStatsTest, SrtLeavesClusterScoreAndText) {
   // The quantified Section-4.2 claim: SRT leaves have smaller score spread
   // and fewer distinct keywords than the spatial-only IR2 leaves.
@@ -390,7 +417,7 @@ TEST(IndexStatsTest, SrtLeavesClusterScoreAndText) {
 
 TEST(RTreeDeleteTest, DeleteMakesRecordUnreachable) {
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.geometry.max_entries = 8;
   RTree<2> tree(opts);
   Rng rng(31);
   std::vector<RTree<2>::Entry> pts;
@@ -403,7 +430,7 @@ TEST(RTreeDeleteTest, DeleteMakesRecordUnreachable) {
   EXPECT_EQ(tree.size(), 499u);
   bool found = false;
   tree.ForEachInRange(pts[123].rect,
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
+                      [&](uint32_t id, const Rect2&) {
                         if (id == 123) found = true;
                       });
   EXPECT_FALSE(found);
@@ -412,7 +439,7 @@ TEST(RTreeDeleteTest, DeleteMakesRecordUnreachable) {
   // Everything else still reachable.
   std::set<uint32_t> seen;
   tree.ForEachInRange(MakeRect2(0, 0, 1, 1),
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
+                      [&](uint32_t id, const Rect2&) {
                         seen.insert(id);
                       });
   EXPECT_EQ(seen.size(), 499u);
@@ -420,7 +447,7 @@ TEST(RTreeDeleteTest, DeleteMakesRecordUnreachable) {
 
 TEST(RTreeDeleteTest, DeleteAllEmptiesTree) {
   RTreeOptions opts;
-  opts.max_entries = 4;  // aggressive splits and condensations
+  opts.geometry.max_entries = 4;  // aggressive splits and condensations
   RTree<2> tree(opts);
   Rng rng(32);
   std::vector<RTree<2>::Entry> pts;
@@ -445,7 +472,7 @@ TEST(RTreeDeleteTest, DeleteAllEmptiesTree) {
 
 TEST(RTreeDeleteTest, InterleavedInsertDeleteMatchesBruteForce) {
   RTreeOptions opts;
-  opts.max_entries = 6;
+  opts.geometry.max_entries = 6;
   RTree<2> tree(opts);
   Rng rng(33);
   std::map<uint32_t, Rect2> live;
@@ -467,7 +494,7 @@ TEST(RTreeDeleteTest, InterleavedInsertDeleteMatchesBruteForce) {
   EXPECT_EQ(tree.size(), live.size());
   std::set<uint32_t> seen;
   tree.ForEachInRange(MakeRect2(0, 0, 1, 1),
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
+                      [&](uint32_t id, const Rect2&) {
                         seen.insert(id);
                       });
   std::set<uint32_t> expect;
@@ -485,7 +512,7 @@ TEST(RTreeDeleteTest, AugmentsMaintainedAfterDelete) {
     }
   };
   RTreeOptions opts;
-  opts.max_entries = 4;
+  opts.geometry.max_entries = 4;
   RTree<2, MaxAug> tree(opts);
   Rng rng(34);
   std::vector<std::pair<Rect2, double>> recs;

@@ -2,7 +2,9 @@
 // Section 4.2.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
 
 #include "hilbert/hilbert.h"
 #include "hilbert/keyword_hilbert.h"
@@ -168,6 +170,54 @@ TEST_P(KeywordHilbertUniverseTest, EncodingIsInjective) {
 INSTANTIATE_TEST_SUITE_P(Universes, KeywordHilbertUniverseTest,
                          ::testing::Values(3u, 8u, 63u, 64u, 65u, 128u, 130u,
                                            192u, 256u, 300u),
+                         [](const ::testing::TestParamInfo<uint32_t>&
+                                param_info) {
+                           return "w" + std::to_string(param_info.param);
+                         });
+
+// The SRT bound counts |e.W n W| on the entry's Hilbert words in place
+// (HilbertIntersectCount); it must equal decoding the words and intersecting.
+class HilbertIntersectCountTest : public ::testing::TestWithParam<uint32_t> {};
+
+TEST_P(HilbertIntersectCountTest, InPlaceCountMatchesDecodedIntersection) {
+  const uint32_t w = GetParam();
+  Rng rng(w + 7);
+  auto random_set = [&](uint32_t max_terms) {
+    KeywordSet s(w);
+    const uint32_t n = static_cast<uint32_t>(rng.UniformInt(0, max_terms));
+    for (uint32_t i = 0; i < n; ++i) {
+      s.Insert(static_cast<TermId>(rng.UniformInt(0, w - 1)));
+    }
+    return s;
+  };
+  for (int iter = 0; iter < 200; ++iter) {
+    // Single feature values and node aggregates of up to 8 of them, from
+    // sparse to dense.
+    HilbertValue h = EncodeKeywords(random_set(iter % 2 == 0 ? 4 : w));
+    const int aggregated = iter % 8;
+    for (int a = 0; a < aggregated; ++a) {
+      h = AggregateHilbert(h, EncodeKeywords(random_set(6)), w);
+    }
+    const KeywordSet query = random_set(iter % 3 == 0 ? w : 5);
+    const uint32_t expected = DecodeKeywords(h, w).IntersectCount(query);
+    EXPECT_EQ(HilbertIntersectCount(h.words(), query), expected)
+        << "iter " << iter;
+
+    // The same words at an unaligned offset, as in a node slot.
+    std::vector<char> slot(4 + h.words().size() * 8);
+    std::memcpy(slot.data() + 4, h.words().data(), h.words().size() * 8);
+    EXPECT_EQ(HilbertIntersectCount(
+                  WordView(slot.data() + 4,
+                           static_cast<uint32_t>(h.words().size())),
+                  query),
+              expected)
+        << "iter " << iter;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Universes, HilbertIntersectCountTest,
+                         ::testing::Values(1u, 63u, 64u, 65u, 128u, 200u,
+                                           1100u),
                          [](const ::testing::TestParamInfo<uint32_t>&
                                 param_info) {
                            return "w" + std::to_string(param_info.param);

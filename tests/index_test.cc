@@ -240,7 +240,7 @@ TEST(SrtIndexTest, NodeSummariesAreExactKeywordUnions) {
   // union yields bound >= (1-l)*e.s + l (only if all query terms present).
   const auto& tree = index.tree();
   std::function<KeywordSet(NodeId)> collect = [&](NodeId nid) -> KeywordSet {
-    const auto& node = tree.ReadNode(nid);
+    const auto node = tree.PeekNode(nid);
     KeywordSet acc(64);
     for (const auto& e : node.entries) {
       if (node.IsLeaf()) {
@@ -252,7 +252,7 @@ TEST(SrtIndexTest, NodeSummariesAreExactKeywordUnions) {
     return acc;
   };
   std::function<void(NodeId)> verify = [&](NodeId nid) {
-    const auto& node = tree.ReadNode(nid);
+    const auto node = tree.PeekNode(nid);
     if (node.IsLeaf()) return;
     for (const auto& e : node.entries) {
       KeywordSet expected = collect(e.id);
@@ -272,7 +272,7 @@ TEST(SrtIndexTest, FourthDimensionIsHilbertValue) {
   while (!stack.empty()) {
     NodeId nid = stack.back();
     stack.pop_back();
-    const auto& node = tree.ReadNode(nid);
+    const auto node = tree.PeekNode(nid);
     for (const auto& e : node.entries) {
       if (node.IsLeaf()) {
         const FeatureObject& t = table.Get(e.id);
@@ -300,7 +300,7 @@ TEST(SrtIndexTest, ClustersScoreAndText) {
     while (!stack.empty()) {
       NodeId nid = stack.back();
       stack.pop_back();
-      const auto& node = tree.ReadNode(nid);
+      const auto node = tree.PeekNode(nid);
       if (node.IsLeaf()) {
         double lo = 1e9, hi = -1e9;
         for (const auto& e : node.entries) {
@@ -328,7 +328,7 @@ TEST(Ir2TreeTest, SignatureWidthScalesWithVocabulary) {
   EXPECT_EQ(a.scheme().signature_bits(), 128u);
   EXPECT_EQ(b.scheme().signature_bits(), 512u);
   // Wider signatures shrink the fan-out.
-  EXPECT_GT(a.tree().options().max_entries, b.tree().options().max_entries);
+  EXPECT_GT(a.tree().options().geometry.max_entries, b.tree().options().geometry.max_entries);
 }
 
 TEST(Ir2TreeTest, ExplicitSignatureBits) {

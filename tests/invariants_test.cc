@@ -1,7 +1,8 @@
 // Tests for debug/validate.h: every deep validator accepts freshly built
 // structures and names the violated invariant after deliberate corruption.
-// The negative tests corrupt internals through the *_for_test accessors and
-// expect a descriptive non-OK Status — never a crash.
+// The negative tests corrupt internals through the *_for_test accessors —
+// for the R-trees, by decoding a node, editing it and encoding it back into
+// its slot — and expect a descriptive non-OK Status — never a crash.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -88,7 +89,7 @@ TEST(ObjectIndexValidatorTest, AcceptsFreshIndex) {
 
 TEST(RTreeValidatorTest, AcceptsInsertDeleteChurn) {
   RTreeOptions opts;
-  opts.max_entries = 4;
+  opts.geometry.max_entries = 4;
   RTree<2> tree(opts);
   std::vector<Rect2> rects;
   for (uint32_t i = 0; i < 60; ++i) {
@@ -121,9 +122,10 @@ TEST(RTreeValidatorTest, DetectsLooseParentMbr) {
   ObjectIndexOptions opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
-  auto& root = index.mutable_tree_for_test().MutableNodeForTest(
-      index.tree().root_id());
+  const NodeId root_id = index.tree().root_id();
+  auto root = index.tree().PeekNode(root_id);
   root.entries[0].rect.hi[0] += 0.25;
+  index.mutable_tree_for_test().OverwriteNodeForTest(root_id, root);
   Status st = ValidateObjectIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("union"), std::string::npos) << st.ToString();
@@ -135,10 +137,11 @@ TEST(RTreeValidatorTest, DetectsSharedSubtree) {
   ObjectIndexOptions opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
-  auto& root = index.mutable_tree_for_test().MutableNodeForTest(
-      index.tree().root_id());
+  const NodeId root_id = index.tree().root_id();
+  auto root = index.tree().PeekNode(root_id);
   ASSERT_GE(root.entries.size(), 2u);
   root.entries[1] = root.entries[0];  // two entries now share one child
+  index.mutable_tree_for_test().OverwriteNodeForTest(root_id, root);
   Status st = ValidateObjectIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("two paths"), std::string::npos)
@@ -150,8 +153,8 @@ TEST(RTreeValidatorTest, DetectsLeafRecordBijectionBreak) {
   ObjectIndexOptions opts;
   opts.page_size_bytes = 512;
   ObjectIndex index(&ds.objects, opts);
-  NodeId leaf = FirstLeaf(index.tree());
-  auto& node = index.mutable_tree_for_test().MutableNodeForTest(leaf);
+  const NodeId leaf = FirstLeaf(index.tree());
+  auto node = index.tree().PeekNode(leaf);
   ASSERT_GE(node.entries.size(), 2u);
   // Overwrite an entry strictly inside the leaf MBR with a copy of entry 0
   // (id and rect together): the parent MBR stays exact and every entry
@@ -169,6 +172,7 @@ TEST(RTreeValidatorTest, DetectsLeafRecordBijectionBreak) {
   }
   ASSERT_NE(victim, 0u) << "no interior leaf entry to corrupt";
   node.entries[victim] = node.entries[0];
+  index.mutable_tree_for_test().OverwriteNodeForTest(leaf, node);
   Status st = ValidateObjectIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("appears"), std::string::npos) << st.ToString();
@@ -180,9 +184,10 @@ TEST(SrtValidatorTest, DetectsScoreBoundViolation) {
   Dataset ds = MakeDataset();
   SrtIndex index(&ds.feature_tables[0], SmallPages());
   ASSERT_GE(index.tree().height(), 2u);
-  auto& root = index.mutable_tree_for_test().MutableNodeForTest(
-      index.tree().root_id());
+  const NodeId root_id = index.tree().root_id();
+  auto root = index.tree().PeekNode(root_id);
   root.entries[0].aug.max_score = -1.0;  // no longer an upper bound
+  index.mutable_tree_for_test().OverwriteNodeForTest(root_id, root);
   Status st = ValidateSrtIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("dominate"), std::string::npos)
@@ -193,40 +198,45 @@ TEST(SrtValidatorTest, DetectsKeywordSupersetViolation) {
   Dataset ds = MakeDataset();
   SrtIndex index(&ds.feature_tables[0], SmallPages());
   ASSERT_GE(index.tree().height(), 2u);
-  auto& root = index.mutable_tree_for_test().MutableNodeForTest(
-      index.tree().root_id());
+  const NodeId root_id = index.tree().root_id();
+  auto root = index.tree().PeekNode(root_id);
   // Consistently empty keyword summary: the entry is self-consistent but no
   // longer covers its descendants.
   KeywordSet empty(ds.feature_tables[0].universe_size());
   root.entries[0].aug.keyword_hilbert = EncodeKeywords(empty);
-  root.entries[0].aug.keywords = empty;
+  index.mutable_tree_for_test().OverwriteNodeForTest(root_id, root);
   Status st = ValidateSrtIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("superset"), std::string::npos)
       << st.ToString();
 }
 
-TEST(SrtValidatorTest, DetectsStaleKeywordCache) {
+TEST(SrtValidatorTest, DetectsNonCanonicalHilbertValue) {
   Dataset ds = MakeDataset();
   SrtIndex index(&ds.feature_tables[0], SmallPages());
-  auto& root = index.mutable_tree_for_test().MutableNodeForTest(
-      index.tree().root_id());
-  // Decoded cache drifts from the stored Hilbert value.
-  root.entries[0].aug.keywords =
-      KeywordSet(ds.feature_tables[0].universe_size());
+  const uint32_t universe = ds.feature_tables[0].universe_size();
+  ASSERT_NE(universe % 64, 0u) << "needs tail bits past the universe";
+  const NodeId root_id = index.tree().root_id();
+  auto root = index.tree().PeekNode(root_id);
+  // A bit past the universe: the value still decodes to the same keyword
+  // set, but it is no longer that set's encoding.
+  root.entries[0].aug.keyword_hilbert.words().back() |= 1u;
+  index.mutable_tree_for_test().OverwriteNodeForTest(root_id, root);
   Status st = ValidateSrtIndex(index);
   ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("stale"), std::string::npos) << st.ToString();
+  EXPECT_NE(st.message().find("canonical"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(SrtValidatorTest, DetectsHilbertLeafOrderViolation) {
   Dataset ds = MakeDataset();
   SrtIndex index(&ds.feature_tables[0], SmallPages());
   ASSERT_EQ(index.build_kind(), BulkLoadKind::kHilbert);
-  NodeId leaf = FirstLeaf(index.tree());
-  auto& node = index.mutable_tree_for_test().MutableNodeForTest(leaf);
+  const NodeId leaf = FirstLeaf(index.tree());
+  auto node = index.tree().PeekNode(leaf);
   ASSERT_GE(node.entries.size(), 2u);
   std::swap(node.entries.front(), node.entries.back());
+  index.mutable_tree_for_test().OverwriteNodeForTest(leaf, node);
   Status st = ValidateSrtIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("Hilbert"), std::string::npos)
@@ -236,11 +246,12 @@ TEST(SrtValidatorTest, DetectsHilbertLeafOrderViolation) {
 TEST(SrtValidatorTest, DetectsLeafTableMismatch) {
   Dataset ds = MakeDataset();
   SrtIndex index(&ds.feature_tables[0], SmallPages());
-  NodeId leaf = FirstLeaf(index.tree());
-  auto& node = index.mutable_tree_for_test().MutableNodeForTest(leaf);
+  const NodeId leaf = FirstLeaf(index.tree());
+  auto node = index.tree().PeekNode(leaf);
   // Lowering the cached score cannot trip the dominance check on the way
   // down, so the leaf/table comparison is what must catch it.
   node.entries[0].aug.max_score = -0.5;
+  index.mutable_tree_for_test().OverwriteNodeForTest(leaf, node);
   Status st = ValidateSrtIndex(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("feature score"), std::string::npos)
@@ -253,11 +264,12 @@ TEST(Ir2ValidatorTest, DetectsSignatureCoverageViolation) {
   Dataset ds = MakeDataset();
   Ir2Tree index(&ds.feature_tables[0], SmallPages());
   ASSERT_GE(index.tree().height(), 2u);
-  auto& root = index.mutable_tree_for_test().MutableNodeForTest(
-      index.tree().root_id());
+  const NodeId root_id = index.tree().root_id();
+  auto root = index.tree().PeekNode(root_id);
   // All-zero signature: structurally valid width but covers nothing, which
   // would make queries silently skip matching subtrees.
   root.entries[0].aug.signature = Signature(index.scheme().signature_bits());
+  index.mutable_tree_for_test().OverwriteNodeForTest(root_id, root);
   Status st = ValidateIr2Tree(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("cover"), std::string::npos) << st.ToString();
@@ -266,9 +278,10 @@ TEST(Ir2ValidatorTest, DetectsSignatureCoverageViolation) {
 TEST(Ir2ValidatorTest, DetectsLeafSignatureMismatch) {
   Dataset ds = MakeDataset();
   Ir2Tree index(&ds.feature_tables[0], SmallPages());
-  NodeId leaf = FirstLeaf(index.tree());
-  auto& node = index.mutable_tree_for_test().MutableNodeForTest(leaf);
+  const NodeId leaf = FirstLeaf(index.tree());
+  auto node = index.tree().PeekNode(leaf);
   node.entries[0].aug.signature = Signature(index.scheme().signature_bits());
+  index.mutable_tree_for_test().OverwriteNodeForTest(leaf, node);
   Status st = ValidateIr2Tree(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("signature"), std::string::npos)

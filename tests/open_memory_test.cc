@@ -1,21 +1,21 @@
 // Memory-profile tests for Engine::Open and LoadIndexFile.
 //
-// Opening a .stpqx file must not materialize tree nodes up front: the
-// loader parses the superblock + catalog, verifies segment checksums, and
-// hands back lazy per-node decoders; nodes decode one at a time on first
-// access.  These tests pin that laziness at the LoadIndexFile layer (build
-//-mode independent) and at the Engine layer (NDEBUG only — Debug builds
-// deep-validate restored indexes, which deliberately touches every node).
+// A node exists once, as its .stpqx slot.  Opening a file must not copy
+// or decode the node segments: the loader verifies them in one streaming
+// pass and the opened trees read their slots in place from the page
+// store's mapping.  Those slots are the bytes the building engine holds.
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.h"
 #include "gen/synthetic.h"
-#include "io/index_file.h"
 #include "rtree/rtree.h"
 
 namespace stpq {
@@ -30,8 +30,7 @@ class OpenMemoryTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  /// Saves an SRT index with enough nodes that "materialized everything"
-  /// and "materialized one root-to-leaf path" are far apart.
+  /// Builds and saves an SRT index with a few hundred nodes per tree.
   std::string SaveIndex() {
     SyntheticConfig cfg;
     cfg.seed = 7;
@@ -43,108 +42,54 @@ class OpenMemoryTest : public ::testing::Test {
     Dataset ds = GenerateSynthetic(cfg);
     EngineOptions opts;
     opts.storage.page_size = 256;
-    Engine engine =
+    built_ = std::make_unique<Engine>(
         Engine::Build(ds.objects,
                       std::vector<FeatureTable>(ds.feature_tables), opts)
-            .TakeValue();
+            .TakeValue());
     std::string path = (dir_ / "idx.stpqx").string();
-    EXPECT_TRUE(engine.Save(path).ok());
+    EXPECT_TRUE(built_->Save(path).ok());
     return path;
   }
 
+  static const RTree<4, SrtAug>& SrtTree(const Engine& engine, size_t i) {
+    return dynamic_cast<const SrtIndex&>(engine.feature_index(i)).tree();
+  }
+
   std::filesystem::path dir_;
+  std::unique_ptr<Engine> built_;
 };
 
-TEST_F(OpenMemoryTest, LoadIndexFileReturnsLazyPayloads) {
-  std::string path = SaveIndex();
-  Result<LoadedIndex> loaded = LoadIndexFile(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  const LoadedIndex& idx = loaded.value();
-
-  // The object tree came back as a decoder + node count, not nodes.
-  EXPECT_TRUE(idx.object_tree.nodes.empty());
-  EXPECT_GT(idx.object_tree.node_count, 0u);
-  ASSERT_TRUE(static_cast<bool>(idx.object_tree.decoder));
-
-  ASSERT_EQ(idx.srt_trees.size(), 2u);
-  for (const RestoredTreeData<4, SrtAug>& t : idx.srt_trees) {
-    EXPECT_TRUE(t.nodes.empty());
-    EXPECT_GT(t.node_count, 0u);
-    EXPECT_TRUE(static_cast<bool>(t.decoder));
-  }
-}
-
-TEST_F(OpenMemoryTest, NodesMaterializeOnFirstAccessOnly) {
-  std::string path = SaveIndex();
-  Result<LoadedIndex> loaded = LoadIndexFile(path);
-  ASSERT_TRUE(loaded.ok());
-
-  RTree<2> tree;
-  uint32_t total = loaded.value().object_tree.node_count;
-  AdoptRestoredTree(&tree, std::move(loaded.value().object_tree));
-  EXPECT_EQ(tree.materialized_node_count(), 0u);
-
-  // A point probe walks one root-to-leaf path: a handful of nodes out of
-  // hundreds.
-  uint64_t hits = 0;
-  tree.ForEachInRange(Rect<2>::FromPoint({0.5, 0.5}),
-                      [&](uint32_t, const Rect<2>&, const NoAug&) { ++hits; });
-  uint64_t after_probe = tree.materialized_node_count();
-  EXPECT_GT(after_probe, 0u);
-  EXPECT_LT(after_probe, total / 2) << "a point probe materialized half the tree";
-
-  // Re-running the same probe decodes nothing new.
-  tree.ForEachInRange(Rect<2>::FromPoint({0.5, 0.5}),
-                      [&](uint32_t, const Rect<2>&, const NoAug&) {});
-  EXPECT_EQ(tree.materialized_node_count(), after_probe);
-}
-
-TEST_F(OpenMemoryTest, DecodedNodesMatchEagerRestore) {
-  // Decode every node through the lazy path and compare against the
-  // in-memory build: same rects, record ids and tree shape.
-  std::string path = SaveIndex();
-  Result<LoadedIndex> loaded = LoadIndexFile(path);
-  ASSERT_TRUE(loaded.ok());
-
-  RTree<2> lazy;
-  AdoptRestoredTree(&lazy, std::move(loaded.value().object_tree));
-  std::vector<std::pair<uint32_t, Rect<2>>> via_lazy;
-  lazy.ForEachInRange(Rect<2>{{0.0, 0.0}, {1.0, 1.0}},
-                      [&](uint32_t id, const Rect<2>& r, const NoAug&) {
-                        via_lazy.emplace_back(id, r);
-                      });
-  EXPECT_EQ(via_lazy.size(), lazy.size());
-  EXPECT_EQ(lazy.materialized_node_count(), lazy.node_count());
-}
-
-#ifdef NDEBUG
-TEST_F(OpenMemoryTest, EngineOpenDoesNotMaterializeNodesUpFront) {
-  // Debug builds deep-validate restored indexes (touching every node), so
-  // the up-front laziness claim only holds — and is only asserted — in
-  // Release.
-  std::string path = SaveIndex();
+TEST_F(OpenMemoryTest, MappedOpenedTreeOwnsNoNodeBytes) {
+  const std::string path = SaveIndex();
   Result<Engine> opened = Engine::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ(opened.value().object_index().tree().materialized_node_count(),
-            0u);
+  const auto& store =
+      dynamic_cast<const FilePageStore&>(opened.value().page_store());
+  ASSERT_TRUE(store.using_mmap());
 
-  // One query touches a sliver of each tree, not the whole file.
-  Query q;
-  q.k = 5;
-  q.radius = 0.05;
-  q.lambda = 0.5;
-  for (int s = 0; s < 2; ++s) {
-    KeywordSet kw(48);
-    kw.Insert(3);
-    q.keywords.push_back(std::move(kw));
-  }
-  ASSERT_TRUE(opened.value().Execute(q, Algorithm::kStps).ok());
   const RTree<2>& object_tree = opened.value().object_index().tree();
   EXPECT_GT(object_tree.node_count(), 100u);
-  EXPECT_LT(object_tree.materialized_node_count(),
-            object_tree.node_count());
+  EXPECT_EQ(object_tree.owned_slot_bytes(), 0u);
+  for (size_t i = 0; i < opened.value().num_feature_sets(); ++i) {
+    EXPECT_GT(SrtTree(opened.value(), i).node_count(), 0u);
+    EXPECT_EQ(SrtTree(opened.value(), i).owned_slot_bytes(), 0u) << i;
+  }
+  // The built trees own exactly their slots.
+  EXPECT_EQ(built_->object_index().tree().owned_slot_bytes(),
+            built_->object_index().tree().slots().size());
 }
-#endif  // NDEBUG
+
+TEST_F(OpenMemoryTest, OpenedSlotsAreByteEqualToBuiltTree) {
+  const std::string path = SaveIndex();
+  Result<Engine> opened = Engine::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(opened.value().object_index().tree().slots(),
+            built_->object_index().tree().slots());
+  for (size_t i = 0; i < built_->num_feature_sets(); ++i) {
+    EXPECT_EQ(SrtTree(opened.value(), i).slots(), SrtTree(*built_, i).slots())
+        << i;
+  }
+}
 
 }  // namespace
 }  // namespace stpq

@@ -36,7 +36,7 @@ std::set<uint32_t> BruteRange(const std::vector<Tree2::Entry>& pts,
 std::set<uint32_t> TreeRange(const Tree2& tree, const Rect2& range) {
   std::set<uint32_t> out;
   tree.ForEachInRange(range,
-                      [&](uint32_t id, const Rect2&, const NoAug&) {
+                      [&](uint32_t id, const Rect2&) {
                         out.insert(id);
                       });
   return out;
@@ -66,7 +66,7 @@ TEST_P(RTreeInsertTest, InsertMatchesBruteForce) {
   Rng rng(n);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, n);
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.geometry.max_entries = 8;
   Tree2 tree(opts);
   for (const auto& e : pts) tree.Insert(e.rect, e.id);
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
@@ -84,7 +84,7 @@ TEST_P(RTreeInsertTest, BulkLoadHilbertMatchesBruteForce) {
   Rng rng(n + 1);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, n);
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.geometry.max_entries = 8;
   Tree2 tree(opts);
   std::vector<Tree2::Entry> sorted = pts;
   SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted), 16);
@@ -104,10 +104,10 @@ TEST_P(RTreeInsertTest, BulkLoadStrMatchesBruteForce) {
   Rng rng(n + 2);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, n);
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.geometry.max_entries = 8;
   Tree2 tree(opts);
   std::vector<Tree2::Entry> sorted = pts;
-  SortSTR<2, NoAug>(&sorted, opts.max_entries);
+  SortSTR<2, NoAug>(&sorted, opts.geometry.max_entries);
   tree.BulkLoadSorted(sorted);
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
   for (int q = 0; q < 25; ++q) {
@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, RTreeInsertTest,
 
 TEST(RTreeTest, HeightGrowsLogarithmically) {
   RTreeOptions opts;
-  opts.max_entries = 16;
+  opts.geometry.max_entries = 16;
   Tree2 tree(opts);
   Rng rng(9);
   for (int i = 0; i < 5000; ++i) {
@@ -140,7 +140,7 @@ TEST(RTreeTest, BulkLoadPacksTighter) {
   Rng rng(10);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, 2000);
   RTreeOptions opts;
-  opts.max_entries = 32;
+  opts.geometry.max_entries = 32;
   Tree2 inserted(opts), packed(opts);
   for (const auto& e : pts) inserted.Insert(e.rect, e.id);
   std::vector<Tree2::Entry> sorted = pts;
@@ -153,7 +153,7 @@ TEST(RTreeTest, BulkLoadFillFactor) {
   Rng rng(11);
   std::vector<Tree2::Entry> pts = RandomPoints(&rng, 1000);
   RTreeOptions opts;
-  opts.max_entries = 20;
+  opts.geometry.max_entries = 20;
   Tree2 full(opts), seventy(opts);
   full.BulkLoadSorted(pts, 1.0);
   seventy.BulkLoadSorted(pts, 0.7);
@@ -162,7 +162,7 @@ TEST(RTreeTest, BulkLoadFillFactor) {
 
 TEST(RTreeTest, DuplicatePointsAllRetrievable) {
   RTreeOptions opts;
-  opts.max_entries = 4;
+  opts.geometry.max_entries = 4;
   Tree2 tree(opts);
   for (uint32_t i = 0; i < 50; ++i) tree.Insert(PointRect({0.5, 0.5}), i);
   auto hits = TreeRange(tree, MakeRect2(0.5, 0.5, 0.5, 0.5));
@@ -172,7 +172,7 @@ TEST(RTreeTest, DuplicatePointsAllRetrievable) {
 TEST(RTreeTest, BufferPoolChargedPerNodeAccess) {
   BufferPool pool(0);
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.geometry.max_entries = 8;
   opts.buffer_pool = &pool;
   opts.page_base = 1000;
   Tree2 tree(opts);
@@ -193,7 +193,7 @@ TEST(RTreeTest, BufferPoolChargedPerNodeAccess) {
 TEST(RTreeTest, SmallRangeTouchesFewPages) {
   BufferPool pool(0);
   RTreeOptions opts;
-  opts.max_entries = 32;
+  opts.geometry.max_entries = 32;
   opts.buffer_pool = &pool;
   Tree2 tree(opts);
   Rng rng(13);
@@ -216,7 +216,7 @@ struct MaxAug {
 
 TEST(RTreeTest, AugmentationMaintainedUnderInsert) {
   RTreeOptions opts;
-  opts.max_entries = 4;  // force many splits
+  opts.geometry.max_entries = 4;  // force many splits
   RTree<2, MaxAug> tree(opts);
   Rng rng(14);
   for (uint32_t i = 0; i < 300; ++i) {
@@ -230,7 +230,7 @@ TEST(RTreeTest, AugmentationMaintainedUnderInsert) {
 
 TEST(RTreeTest, AugmentationMaintainedUnderBulkLoad) {
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.geometry.max_entries = 8;
   RTree<2, MaxAug> tree(opts);
   Rng rng(15);
   std::vector<RTree<2, MaxAug>::Entry> pts;
@@ -246,7 +246,7 @@ TEST(RTreeTest, AugmentationMaintainedUnderBulkLoad) {
 
 TEST(RTreeTest, FourDimensionalTree) {
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.geometry.max_entries = 8;
   RTree<4> tree(opts);
   Rng rng(16);
   std::vector<std::array<double, 4>> pts;
@@ -258,7 +258,7 @@ TEST(RTreeTest, FourDimensionalTree) {
   }
   Rect4 range{{0.2, 0.2, 0.2, 0.2}, {0.7, 0.7, 0.7, 0.7}};
   std::set<uint32_t> got;
-  tree.ForEachInRange(range, [&](uint32_t id, const Rect4&, const NoAug&) {
+  tree.ForEachInRange(range, [&](uint32_t id, const Rect4&) {
     got.insert(id);
   });
   std::set<uint32_t> expect;

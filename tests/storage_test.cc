@@ -2,6 +2,7 @@
 // PageStore backends behind the pools.
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -235,11 +236,19 @@ class FilePageStoreTest : public ::testing::Test {
     return path;
   }
 
+  /// Opens `path` and a store over its descriptor.
+  static Result<std::unique_ptr<FilePageStore>> OpenStore(
+      const std::string& path, std::vector<FilePageStore::Extent> extents,
+      FilePageStore::IoMode mode = FilePageStore::IoMode::kAuto) {
+    return FilePageStore::Open(::open(path.c_str(), O_RDONLY | O_CLOEXEC),
+                               path, std::move(extents), mode);
+  }
+
   std::filesystem::path dir_;
 };
 
 TEST_F(FilePageStoreTest, OpenRejectsMissingFile) {
-  Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
       (dir_ / "nope.bin").string(),
       {FilePageStore::Extent{0, 1, 0, 4096}});
   ASSERT_FALSE(r.ok());
@@ -248,7 +257,7 @@ TEST_F(FilePageStoreTest, OpenRejectsMissingFile) {
 
 TEST_F(FilePageStoreTest, OpenRejectsExtentPastEof) {
   std::string path = MakeFile("short.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
       path, {FilePageStore::Extent{0, 2, 0, 4096}});  // needs 8192 bytes
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
@@ -256,7 +265,7 @@ TEST_F(FilePageStoreTest, OpenRejectsExtentPastEof) {
 
 TEST_F(FilePageStoreTest, OpenRejectsOverlappingExtents) {
   std::string path = MakeFile("two.bin", 16384);
-  Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
       path, {FilePageStore::Extent{0, 2, 0, 4096},
              FilePageStore::Extent{1, 2, 8192, 4096}});
   ASSERT_FALSE(r.ok());
@@ -267,7 +276,7 @@ TEST_F(FilePageStoreTest, FetchCountsBytesAndErrors) {
   for (FilePageStore::IoMode mode :
        {FilePageStore::IoMode::kMmap, FilePageStore::IoMode::kPread}) {
     std::string path = MakeFile("data.bin", 3 * 4096);
-    Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+    Result<std::unique_ptr<FilePageStore>> r = OpenStore(
         path, {FilePageStore::Extent{10, 3, 0, 4096}}, mode);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     FilePageStore& store = *r.value();
@@ -285,9 +294,31 @@ TEST_F(FilePageStoreTest, FetchCountsBytesAndErrors) {
   }
 }
 
+// A store opened over a descriptor serves the file read through it, not
+// whatever the path names later: the .stpqx loader verifies a file through
+// one descriptor and must map those same bytes, even when a rebuild has
+// atomically renamed a new index over the path in between.
+TEST_F(FilePageStoreTest, OpenOverDescriptorIgnoresReplacedPath) {
+  const std::string path = MakeFile("swap.bin", 2 * 4096);  // byte i = i
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  ASSERT_GE(fd, 0);
+  const std::string other = (dir_ / "other.bin").string();
+  std::ofstream(other, std::ios::binary) << std::string(2 * 4096, 'x');
+  std::filesystem::rename(other, path);
+
+  Result<std::unique_ptr<FilePageStore>> r =
+      FilePageStore::Open(fd, path, {FilePageStore::Extent{0, 2, 0, 4096}},
+                          FilePageStore::IoMode::kMmap);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_NE(r.value()->mapped_data(), nullptr);
+  for (int i = 0; i < 256; ++i) {
+    ASSERT_EQ(static_cast<uint8_t>(r.value()->mapped_data()[i]), i) << i;
+  }
+}
+
 TEST_F(FilePageStoreTest, PoolMissTriggersFetch) {
   std::string path = MakeFile("pool.bin", 2 * 4096);
-  Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
       path, {FilePageStore::Extent{0, 2, 0, 4096}});
   ASSERT_TRUE(r.ok());
   BufferPool pool(4, r.value().get());
@@ -335,7 +366,7 @@ ssize_t PreadTorn(int fd, void* buf, size_t count, off_t offset) {
 
 TEST_F(FilePageStoreTest, EintrIsRetriedNotAnError) {
   std::string path = MakeFile("eintr.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
       path, {FilePageStore::Extent{0, 1, 0, 4096}},
       FilePageStore::IoMode::kPread);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -351,7 +382,7 @@ TEST_F(FilePageStoreTest, EintrIsRetriedNotAnError) {
 
 TEST_F(FilePageStoreTest, PreadFailureIsTypedIoError) {
   std::string path = MakeFile("eio.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
       path, {FilePageStore::Extent{0, 1, 0, 4096}},
       FilePageStore::IoMode::kPread);
   ASSERT_TRUE(r.ok());
@@ -369,7 +400,7 @@ TEST_F(FilePageStoreTest, TornPageIsTypedCorruption) {
   // EOF inside a slot means the file is shorter than the extent table
   // promised — a corrupt index, not a transient I/O failure.
   std::string path = MakeFile("torn.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = FilePageStore::Open(
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
       path, {FilePageStore::Extent{0, 1, 0, 4096}},
       FilePageStore::IoMode::kPread);
   ASSERT_TRUE(r.ok());

@@ -915,7 +915,9 @@ int BuildIndex(const Args& args) {
 }
 
 /// Prints the superblock + segment catalog of a .stpqx file; --verify
-/// additionally restores every index (checksums + deep decode).
+/// additionally opens it with Engine::Open, which checks every segment
+/// checksum, every node slot header and the tree metadata (nodes are read
+/// in place by queries, never decoded up front).
 int LoadInfo(const Args& args) {
   const std::string path = args.Get("index");
   if (path.empty()) {
@@ -950,7 +952,7 @@ int LoadInfo(const Args& args) {
                    engine.status().ToString().c_str());
       return 1;
     }
-    std::printf("verify OK: all segments restored\n");
+    std::printf("verify OK: all segments verified\n");
   }
   return 0;
 }
@@ -981,8 +983,9 @@ const std::vector<CommandSpec>& Commands() {
        &BuildIndex},
       {"load", "print the superblock + segment catalog of a .stpqx file",
        "  --index FILE      index file path (required)\n"
-       "  --verify          additionally restore every index (checksums +\n"
-       "                    full decode) via Engine::Open\n",
+       "  --verify          additionally open the index with Engine::Open:\n"
+       "                    segment checksums, node slot headers and tree\n"
+       "                    metadata (nodes are not decoded)\n",
        &LoadInfo},
       {"query", "run one query and print the top-k",
        STPQ_CLI_ENGINE_FLAGS
