@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -311,67 +312,56 @@ BENCHMARK(BM_BufferPoolSessionIsolated);
 
 // ------------------------------- file-backed page store (DESIGN.md §16)
 
-/// Lazily writes a zero-filled fixture file of `pages` 4 KiB pages and
-/// opens a FilePageStore over it in the requested I/O mode.
-std::unique_ptr<FilePageStore> OpenFixtureStore(uint64_t pages,
-                                                FilePageStore::IoMode mode) {
+/// Lazily writes a zero-filled fixture file of 4096 pages of 4 KiB and
+/// opens a FilePageStore over it.
+std::unique_ptr<FilePageStore> OpenFixtureStore() {
+  constexpr uint64_t kPages = 4096;
   static const std::string path = [] {
     std::string p = (std::filesystem::temp_directory_path() /
                      "stpq_bench_store.bin")
                         .string();
     std::ofstream out(p, std::ios::binary | std::ios::trunc);
     std::vector<char> zeros(4096, 0);
-    for (uint64_t i = 0; i < 4096; ++i) {
+    for (uint64_t i = 0; i < kPages; ++i) {
       out.write(zeros.data(), static_cast<std::streamsize>(zeros.size()));
     }
     return p;
   }();
   Result<std::unique_ptr<FilePageStore>> store =
       FilePageStore::Open(::open(path.c_str(), O_RDONLY | O_CLOEXEC), path,
-                          {FilePageStore::Extent{0, pages, 0, 4096}}, mode);
+                          kPages * 4096);
   return store.TakeValue();
 }
 
-/// Cost of serving one buffer-pool miss from the index file: an extent
-/// lookup plus one cache-line touch per 64 bytes of the mapped slot.
+/// Page `page`'s 4 KiB slot in the fixture mapping.
+std::span<const char> FixtureSlot(const FilePageStore& store, PageId page) {
+  return {store.mapped_data() + page * 4096, 4096};
+}
+
+/// Cost of serving one buffer-pool miss from the index file: one
+/// cache-line touch per 64 bytes of the mapped slot.
 void BM_FilePageStoreFetchMmap(benchmark::State& state) {
-  std::unique_ptr<FilePageStore> store =
-      OpenFixtureStore(4096, FilePageStore::IoMode::kMmap);
+  std::unique_ptr<FilePageStore> store = OpenFixtureStore();
   const std::vector<PageId> seq = PageSequence(18, 4095);
   size_t i = 0;
   for (auto _ : state) {
-    store->FetchPage(seq[i]);
+    store->FetchPage(seq[i], FixtureSlot(*store, seq[i]));
     benchmark::ClobberMemory();
     i = (i + 1) & (seq.size() - 1);
   }
 }
 BENCHMARK(BM_FilePageStoreFetchMmap);
 
-/// Same fetch through the pread fallback (no mapping): what platforms
-/// without mmap — or files opened with IoMode::kPread — pay per miss.
-void BM_FilePageStoreFetchPread(benchmark::State& state) {
-  std::unique_ptr<FilePageStore> store =
-      OpenFixtureStore(4096, FilePageStore::IoMode::kPread);
-  const std::vector<PageId> seq = PageSequence(19, 4095);
-  size_t i = 0;
-  for (auto _ : state) {
-    store->FetchPage(seq[i]);
-    benchmark::ClobberMemory();
-    i = (i + 1) & (seq.size() - 1);
-  }
-}
-BENCHMARK(BM_FilePageStoreFetchPread);
-
 /// End-to-end miss path: LRU admission + eviction + file fetch, the
 /// per-page cost a cold query pays on a reopened engine.
 void BM_BufferPoolMissFileBacked(benchmark::State& state) {
-  std::unique_ptr<FilePageStore> store =
-      OpenFixtureStore(4096, FilePageStore::IoMode::kAuto);
+  std::unique_ptr<FilePageStore> store = OpenFixtureStore();
   BufferPool pool(64, store.get());  // small pool: almost every access misses
   const std::vector<PageId> seq = PageSequence(20, 4095);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pool.Access(seq[i]));
+    benchmark::DoNotOptimize(
+        pool.Access(seq[i], FixtureSlot(*store, seq[i])));
     i = (i + 1) & (seq.size() - 1);
   }
 }

@@ -29,17 +29,6 @@ Status Engine::ValidateOptions(const EngineOptions& options) {
         "storage.page_size must be >= " + std::to_string(kMinPageSizeBytes) +
         ", got " + std::to_string(options.storage.page_size));
   }
-  if (options.storage.backend == StorageBackend::kFile &&
-      options.storage.path.empty()) {
-    return Status::InvalidArgument(
-        "storage.backend=file requires storage.path (use Engine::Open)");
-  }
-  if (options.storage.backend == StorageBackend::kSimulated &&
-      !options.storage.path.empty()) {
-    return Status::InvalidArgument(
-        "storage.path is set but storage.backend is simulated; use "
-        "Engine::Open to attach an index file");
-  }
   if (!(options.fill > 0.0 && options.fill <= 1.0)) {
     return Status::InvalidArgument("fill must be in (0, 1], got " +
                                    std::to_string(options.fill));
@@ -88,7 +77,6 @@ Result<Engine> Engine::Open(const std::string& path, EngineOptions options) {
   options.signature_bits = loaded.params.signature_bits;
   options.signature_hashes = loaded.params.signature_hashes;
   options.storage.backend = StorageBackend::kFile;
-  options.storage.path = path;
   options.storage.page_size = loaded.params.page_size_bytes;
   Status st = ValidateOptions(options);
   if (!st.ok()) return st;

@@ -68,10 +68,9 @@ struct ExecuteOptions {
 struct StorageOptions {
   /// Page source behind the buffer pools.  kSimulated counts page accesses
   /// without any bytes behind them (the paper's cost model); kFile serves
-  /// misses from a .stpqx index file and is only valid with Engine::Open.
+  /// misses from a .stpqx index file.  Engine::Open sets kFile; Build
+  /// rejects it.
   StorageBackend backend = StorageBackend::kSimulated;
-  /// Index file path.  Set by Engine::Open; must be empty for kSimulated.
-  std::string path;
   /// Buffer pool capacity in pages per pool (object pool + shared feature
   /// pool); 0 = unbounded.
   uint64_t pool_capacity = 0;

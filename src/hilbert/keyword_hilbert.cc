@@ -1,7 +1,5 @@
 #include "hilbert/keyword_hilbert.h"
 
-#include <bit>
-
 #include "util/logging.h"
 
 namespace stpq {
@@ -53,7 +51,7 @@ HilbertValue EncodeKeywords(const KeywordSet& set) {
     uint64_t t = PrefixXorMsbFirst(v);
     if (carry_parity) t = ~t;
     words[i] = t;
-    carry_parity ^= static_cast<uint64_t>(std::popcount(blocks[i])) & 1u;
+    carry_parity ^= uint64_t{PopCount64(blocks[i])} & 1u;
   }
   // Zero bits beyond the universe so equal sets compare equal.
   uint32_t tail = w % 64;

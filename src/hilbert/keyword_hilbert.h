@@ -73,16 +73,6 @@ inline uint64_t BitReverse64(uint64_t v) {
   return (v >> 32) | (v << 32);
 }
 
-/// std::popcount without its library call: the build targets baseline
-/// x86-64, which has no POPCNT instruction, and this count runs once per
-/// internal SRT entry a query visits.
-inline uint32_t PopCount64(uint64_t x) {
-  x -= (x >> 1) & 0x5555555555555555ULL;
-  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
-  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
-  return static_cast<uint32_t>((x * 0x0101010101010101ULL) >> 56);
-}
-
 /// |DecodeKeywords(h) n query| counted on the words of a Hilbert value h
 /// over the query's universe, in place, without decoding h:
 ///

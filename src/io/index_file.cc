@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstring>
 #include <memory>
 #include <string_view>
 #include <utility>
@@ -20,6 +19,8 @@ namespace stpq {
 using namespace index_format;  // NOLINT(build/namespaces) format primitives
 
 namespace {
+
+PreadFn g_pread_fn = &::pread;
 
 /// Decoded superblock, reader side.
 struct Superblock {
@@ -66,14 +67,15 @@ class IndexFileHandle {
 
   /// Reads exactly [offset, offset + n), retrying EINTR; a persistent
   /// short read (concurrent truncation) or hard error is an IoError.
+  /// Every byte the reader verifies comes through here.
   [[nodiscard]] Status PreadExact(uint64_t offset, char* out,
                                   uint64_t n) const {
     uint64_t done = 0;
     while (done < n) {
       const size_t want = static_cast<size_t>(
           std::min<uint64_t>(n - done, size_t{1} << 30));
-      const ssize_t got =
-          ::pread(fd_, out + done, want, static_cast<off_t>(offset + done));
+      const ssize_t got = g_pread_fn(fd_, out + done, want,
+                                     static_cast<off_t>(offset + done));
       if (got < 0) {
         if (errno == EINTR) continue;
         return Status::IoError("read failed: " + path_);
@@ -349,13 +351,40 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
 }
 
 /// One streaming pass over a node segment through a bounded buffer:
-/// checksums every byte and validates each slot header.  A checksum
-/// mismatch outranks a slot-header violation (damaged bytes usually trip
-/// both).
+/// checksums every byte and validates each slot: its entry count against
+/// the fan-out, and each entry id against what it names (a node of this
+/// tree in an internal slot, one of `record_count` records in a leaf), so
+/// no query can follow an id out of the tree's slots or past its records.
+/// A checksum mismatch outranks a slot violation (damaged bytes usually
+/// trip both).
+template <int D, typename Aug>
 Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
-                         uint32_t max_entries) {
+                         const NodeCodec<D, Aug>& codec,
+                         uint64_t record_count) {
   Fnv1a64Stream fnv;
   Status bad_slot = Status::OK();
+  const uint32_t max_entries = codec.geometry().max_entries;
+  const auto check_slot = [&](uint64_t node, const char* slot) {
+    const NodeView<D, Aug> view = codec.View(slot);
+    if (view.count() > max_entries) {
+      return Status::Corruption(
+          "node " + std::to_string(node) + " claims " +
+          std::to_string(view.count()) + " entries, above the fan-out of " +
+          std::to_string(max_entries));
+    }
+    const uint64_t bound = view.IsLeaf() ? record_count : e.slot_count;
+    for (uint32_t i = 0; i < view.count(); ++i) {
+      if (view.id(i) >= bound) {
+        return Status::Corruption(
+            "node " + std::to_string(node) + " entry " + std::to_string(i) +
+            " names " + (view.IsLeaf() ? "record " : "node ") +
+            std::to_string(view.id(i)) + ", past the " +
+            std::to_string(bound) + (view.IsLeaf() ? " records" : " nodes") +
+            " of its tree");
+      }
+    }
+    return Status::OK();
+  };
   if (e.slot_count > 0) {
     const uint32_t slot_bytes = e.slot_bytes;
     const uint64_t chunk_slots =
@@ -367,14 +396,7 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
                                          buf.data(), n * slot_bytes));
       fnv.Update(buf.data(), static_cast<size_t>(n * slot_bytes));
       for (uint64_t j = 0; bad_slot.ok() && j < n; ++j) {
-        uint32_t count = 0;
-        std::memcpy(&count, buf.data() + j * slot_bytes + 4, sizeof(count));
-        if (count > max_entries) {
-          bad_slot = Status::Corruption(
-              "node " + std::to_string(i + j) + " claims " +
-              std::to_string(count) + " entries, above the fan-out of " +
-              std::to_string(max_entries));
-        }
+        bad_slot = check_slot(i + j, buf.data() + j * slot_bytes);
       }
       i += n;
     }
@@ -386,14 +408,13 @@ Status VerifyNodeSegment(const IndexFileHandle& file, const CatalogEntry& e,
 }
 
 /// Verifies tree t (0: the object tree, i + 1: the feature tree of table
-/// i), parses its metadata and maps its node segment into the page-id
-/// namespace.  `*nodes_offset` gets the file offset of the tree's slots.
+/// i), whose leaves index `record_count` records, and parses its metadata.
+/// `*nodes_offset` gets the file offset of the tree's slots.
 template <int D, typename Aug>
 Status LoadTree(const IndexFileHandle& file,
                 const std::vector<CatalogEntry>& catalog, uint32_t t,
-                const NodeCodec<D, Aug>& codec, RestoredTreeData* out,
-                uint64_t* nodes_offset,
-                std::vector<FilePageStore::Extent>* extents) {
+                const NodeCodec<D, Aug>& codec, uint64_t record_count,
+                RestoredTreeData* out, uint64_t* nodes_offset) {
   const uint32_t meta_type =
       t == 0 ? kSegObjectTreeMeta : kSegFeatureTreeMeta;
   const uint32_t ordinal = t == 0 ? 0 : t - 1;
@@ -403,18 +424,12 @@ Status LoadTree(const IndexFileHandle& file,
   const CatalogEntry* entry = FindEntry(catalog, meta_type + 1, ordinal);
   if (entry == nullptr) return MissingSegment(meta_type + 1, ordinal);
   STPQ_RETURN_NOT_OK(ParseTreeMeta(meta.value(), *entry, codec, out));
-  STPQ_RETURN_NOT_OK(
-      VerifyNodeSegment(file, *entry, codec.geometry().max_entries));
+  STPQ_RETURN_NOT_OK(VerifyNodeSegment(file, *entry, codec, record_count));
   if (entry->first_page != kIndexPageStride * t) {
     return Status::Corruption("node segment '" +
                               std::string(SegmentName(entry->type)) + "' #" +
                               std::to_string(ordinal) +
                               " has the wrong page-id base");
-  }
-  if (entry->slot_count > 0) {
-    extents->push_back(FilePageStore::Extent{
-        entry->first_page, entry->slot_count, entry->offset,
-        entry->slot_bytes});
   }
   *nodes_offset = entry->offset;
   return Status::OK();
@@ -571,6 +586,10 @@ Status WriteIndexFile(const std::string& path,
 
 // ---------------------------------------------------------------- reader
 
+void SetIndexPreadFnForTest(PreadFn fn) {
+  g_pread_fn = fn != nullptr ? fn : &::pread;
+}
+
 Result<LoadedIndex> LoadIndexFile(const std::string& path) {
   Result<std::unique_ptr<IndexFileHandle>> file_r =
       IndexFileHandle::Open(path);
@@ -606,32 +625,34 @@ Result<LoadedIndex> LoadIndexFile(const std::string& path) {
   // persisted index kind.
   const uint32_t page_size = sb.params.page_size_bytes;
   std::vector<uint64_t> offsets(sb.table_count + 1);
-  std::vector<FilePageStore::Extent> extents;
   out.trees.resize(sb.table_count + 1);
   STPQ_RETURN_NOT_OK(
       LoadTree(*file, catalog, 0,
                NodeCodec<2, NoAug>(ObjectIndex::Geometry(page_size)),
-               &out.trees[0], &offsets[0], &extents));
+               out.objects.size(), &out.trees[0], &offsets[0]));
   for (uint32_t i = 0; i < sb.table_count; ++i) {
     const uint32_t universe = out.feature_tables[i].universe_size();
+    const uint64_t features = out.feature_tables[i].size();
     STPQ_RETURN_NOT_OK(
         sb.params.index_kind == FeatureIndexKind::kSrt
             ? LoadTree(*file, catalog, i + 1,
                        NodeCodec<4, SrtAug>(
                            SrtIndex::Geometry(page_size, universe)),
-                       &out.trees[i + 1], &offsets[i + 1], &extents)
+                       features, &out.trees[i + 1], &offsets[i + 1])
             : LoadTree(*file, catalog, i + 1,
                        NodeCodec<2, Ir2Aug>(Ir2Tree::Geometry(
                            page_size, sb.params.signature_bits, universe)),
-                       &out.trees[i + 1], &offsets[i + 1], &extents));
+                       features, &out.trees[i + 1], &offsets[i + 1]));
   }
 
   // The trees read their slots from a mapping of the file verified above,
-  // through its descriptor: `path` may name another file by now.
+  // through its descriptor: `path` may name another file by now.  Every
+  // segment was checked to lie within file->size() bytes, and the store
+  // maps exactly those.
   const int fd = ::fcntl(file->fd(), F_DUPFD_CLOEXEC, 0);
   if (fd < 0) return Status::IoError("cannot open: " + path);
-  Result<std::unique_ptr<FilePageStore>> store_r = FilePageStore::Open(
-      fd, path, std::move(extents), FilePageStore::IoMode::kMmap);
+  Result<std::unique_ptr<FilePageStore>> store_r =
+      FilePageStore::Open(fd, path, file->size());
   if (!store_r.ok()) return store_r.status();
   out.store = store_r.TakeValue();
   for (size_t t = 0; t < out.trees.size(); ++t) {

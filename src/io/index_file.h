@@ -26,6 +26,8 @@
 #ifndef STPQ_IO_INDEX_FILE_H_
 #define STPQ_IO_INDEX_FILE_H_
 
+#include <sys/types.h>
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -85,11 +87,21 @@ struct LoadedIndex {
 
 /// Reads and verifies a file written by WriteIndexFile and opens its page
 /// store.  Every segment's checksum is validated before its payload is
-/// used, and every node slot header is checked against the fan-out; see
-/// the file comment for the error taxonomy; a file that cannot be mapped
-/// is an IoError.  Node slots are not decoded or copied: the trees read
-/// them in place from the store's mapping of the file that was verified.
+/// used, and every node slot is checked: its entry count against the
+/// fan-out, its entry ids against the tree's node count (internal slots)
+/// or record count (leaves).  See the file comment for the error
+/// taxonomy; a file that cannot be mapped, or whose size changed since it
+/// was verified, is an IoError.  Node slots are not decoded or copied: the
+/// trees read them in place from the store's mapping of the file that was
+/// verified.
 [[nodiscard]] Result<LoadedIndex> LoadIndexFile(const std::string& path);
+
+/// pread-compatible seam for fault-injection tests (EINTR, short reads,
+/// hard errors) on every read the index-file reader makes (LoadIndexFile,
+/// ReadIndexFileInfo, ReadIndexVocabularies); nullptr restores ::pread.
+/// Process-wide and not synchronized: install it before the read starts.
+using PreadFn = ssize_t (*)(int fd, void* buf, size_t count, off_t offset);
+void SetIndexPreadFnForTest(PreadFn fn);
 
 /// One catalog row, decoded for display (`stpq_cli load`) and for the
 /// crash-safety tests' segment-boundary truncation sweeps.

@@ -122,12 +122,16 @@ class RTree {
   [[nodiscard]] const RTreeOptions& options() const { return options_; }
   [[nodiscard]] const NodeCodec<D, Aug>& codec() const { return codec_; }
 
-  /// Reads a node in place, charging the buffer pool for the page access.
+  /// Reads a node in place, charging the buffer pool for the page access;
+  /// a miss fetches the node's slot.
   [[nodiscard]] View ReadNode(NodeId id) const {
+    STPQ_DCHECK(id < node_count_);
+    const char* slot = Slot(id);
     if (options_.buffer_pool != nullptr) {
-      options_.buffer_pool->Access(options_.page_base + id);
+      options_.buffer_pool->Access(options_.page_base + id,
+                                   {slot, codec_.slot_bytes()});
     }
-    return PeekView(id);
+    return codec_.View(slot);
   }
 
   /// Reads a node in place without charging the buffer pool.  Used by the

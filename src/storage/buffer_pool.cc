@@ -156,24 +156,25 @@ BufferPool::Session* BufferPool::CurrentSession() const {
   return nullptr;
 }
 
-bool BufferPool::Access(PageId page) {
-  if (Session* session = CurrentSession()) return session->Access(page);
-  return AccessLocked(page);
+bool BufferPool::Access(PageId page, std::span<const char> slot) {
+  if (Session* session = CurrentSession()) return session->Access(page, slot);
+  return AccessLocked(page, slot);
 }
 
-bool BufferPool::AccessLocked(PageId page) {
+bool BufferPool::AccessLocked(PageId page, std::span<const char> slot) {
   MutexLock lock(mu_);
-  return AccessInternal(page);
+  return AccessInternal(page, slot);
 }
 
-bool BufferPool::AccessSingleThreaded(PageId page) {
+bool BufferPool::AccessSingleThreaded(PageId page,
+                                      std::span<const char> slot) {
   // Thread-safety analysis is off here (see the header): `this` is an
   // isolated session's private pool, reachable only from the one thread
   // that owns the session, so mu_ is deliberately skipped.
-  return AccessInternal(page);
+  return AccessInternal(page, slot);
 }
 
-bool BufferPool::AccessInternal(PageId page) {
+bool BufferPool::AccessInternal(PageId page, std::span<const char> slot) {
   uint32_t f = table_.Find(page);
   if (f != kNilFrame) {
     // Plain load+store, not a locked RMW: writers are serialized by mu_
@@ -194,9 +195,10 @@ bool BufferPool::AccessInternal(PageId page) {
   STPQ_TRACE_INSTANT(TraceEventType::kPoolMiss, backend_tag_, 0,
                      static_cast<uint32_t>(page & 0xffffffffu), page);
   // The miss has been counted; now it costs whatever the backend charges
-  // (nothing when simulated, a physical slot read from the index file
-  // otherwise).  Fetch before admission, like a disk read into the frame.
-  if (store_ != nullptr) store_->FetchPage(page);
+  // (nothing when simulated, a physical read of the slot from the index
+  // file otherwise).  Fetch before admission, like a disk read into the
+  // frame.
+  if (store_ != nullptr) store_->FetchPage(page, slot);
   f = AcquireFrame();
   frames_[f].page = page;
   frames_[f].pins = 0;
@@ -230,7 +232,7 @@ void BufferPool::EvictOneUnpinned() {
 
 Status BufferPool::Pin(PageId page) {
   MutexLock lock(mu_);
-  AccessInternal(page);
+  AccessInternal(page, {});
   const uint32_t f = table_.Find(page);
   if (f == kNilFrame) {
     return Status::FailedPrecondition(
@@ -296,14 +298,14 @@ uint64_t BufferPool::pinned_pages() const {
   return pinned_count_;
 }
 
-bool BufferPool::Session::Access(PageId page) {
+bool BufferPool::Session::Access(PageId page, std::span<const char> slot) {
   if (isolated_) {
     // The private pool is single-threaded by construction (only this
     // session's thread reaches it) and never the target of a binding, so
     // this call skips the mutex and cannot recurse into session routing.
-    return private_pool_->AccessSingleThreaded(page);
+    return private_pool_->AccessSingleThreaded(page, slot);
   }
-  bool hit = shared_->AccessLocked(page);
+  bool hit = shared_->AccessLocked(page, slot);
   if (hit) {
     ++stats_.hits;
   } else {

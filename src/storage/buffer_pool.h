@@ -45,6 +45,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "util/attributes.h"
@@ -88,10 +89,11 @@ class BufferPool {
   class ScopedBind;
 
   /// `store`, when non-null, is the physical backend: every miss triggers
-  /// one PageStore::FetchPage after it has been counted, so hit/miss/evict
-  /// accounting is identical across backends.  A null store is the
-  /// simulated default (a miss is only a counter tick).  The store must
-  /// outlive the pool and may be shared between pools.
+  /// one PageStore::FetchPage of the slot bytes Access was given, after the
+  /// miss has been counted, so hit/miss/evict accounting is identical
+  /// across backends.  A null store is the simulated default (a miss is
+  /// only a counter tick).  The store must outlive the pool and may be
+  /// shared between pools.
   explicit BufferPool(uint64_t capacity_pages = 0, PageStore* store = nullptr);
 
   BufferPool(const BufferPool&) = delete;
@@ -103,9 +105,14 @@ class BufferPool {
   /// resident page is pinned the new page itself is dropped again (an
   /// uncached read-through), so pinned residents are never displaced.
   ///
+  /// `slot` is the page's bytes, where the caller reads them (an R-tree
+  /// passes its node slot); a miss hands them to the PageStore.  Callers
+  /// that only count accesses pass none.
+  ///
   /// When a Session is bound to the calling thread (ScopedBind), the access
   /// is charged to the session instead; see the class comment.
-  STPQ_HOT bool Access(PageId page) STPQ_EXCLUDES(mu_);
+  STPQ_HOT bool Access(PageId page, std::span<const char> slot = {})
+      STPQ_EXCLUDES(mu_);
 
   /// Ensures `page` is resident (counting the read on a miss) and pins it.
   /// Pins nest: each Pin must be matched by one Unpin.  Fails with
@@ -192,18 +199,20 @@ class BufferPool {
   Session* CurrentSession() const;
 
   /// Shared-pool access under the mutex (the pre-session code path).
-  STPQ_HOT bool AccessLocked(PageId page) STPQ_EXCLUDES(mu_);
+  STPQ_HOT bool AccessLocked(PageId page, std::span<const char> slot)
+      STPQ_EXCLUDES(mu_);
 
   /// Access body; callers hold mu_ (AccessSingleThreaded is the one
   /// audited exception for exclusively owned private pools).
-  STPQ_HOT bool AccessInternal(PageId page) STPQ_REQUIRES(mu_);
+  STPQ_HOT bool AccessInternal(PageId page, std::span<const char> slot)
+      STPQ_REQUIRES(mu_);
 
   /// AccessInternal on a pool that is single-threaded by construction (an
   /// isolated session's private pool, reachable only through the owning
   /// thread's binding): skips the mutex, so the thread-safety analysis is
   /// disabled at exactly this boundary instead of being silenced at every
   /// touched member.
-  STPQ_HOT bool AccessSingleThreaded(PageId page)
+  STPQ_HOT bool AccessSingleThreaded(PageId page, std::span<const char> slot)
       STPQ_NO_THREAD_SAFETY_ANALYSIS;
 
   /// Evicts the least recently used unpinned page (possibly the page that
@@ -276,7 +285,8 @@ class BufferPool::Session {
   Session& operator=(const Session&) = delete;
 
   /// Charges one page access to this session; returns true on a hit.
-  STPQ_HOT bool Access(PageId page);
+  /// `slot` as for BufferPool::Access.
+  STPQ_HOT bool Access(PageId page, std::span<const char> slot = {});
 
   /// Pages read (misses) and hits charged to this session so far.
   BufferPoolStats stats() const;

@@ -3,6 +3,7 @@
 #include <bit>
 
 #include "util/logging.h"
+#include "util/word_view.h"
 
 namespace stpq {
 
@@ -35,7 +36,7 @@ bool KeywordSet::Contains(TermId id) const {
 
 uint32_t KeywordSet::Count() const {
   uint32_t n = 0;
-  for (uint64_t b : blocks_) n += std::popcount(b);
+  for (uint64_t b : blocks_) n += PopCount64(b);
   return n;
 }
 
@@ -44,7 +45,7 @@ uint32_t KeywordSet::IntersectCount(const KeywordSet& other) const {
   if ((sig_ & other.sig_) == 0) return 0;  // provably disjoint
   uint32_t n = 0;
   for (size_t i = 0; i < blocks_.size(); ++i) {
-    n += std::popcount(blocks_[i] & other.blocks_[i]);
+    n += PopCount64(blocks_[i] & other.blocks_[i]);
   }
   return n;
 }
@@ -53,7 +54,7 @@ uint32_t KeywordSet::UnionCount(const KeywordSet& other) const {
   STPQ_DCHECK(universe_size_ == other.universe_size_);
   uint32_t n = 0;
   for (size_t i = 0; i < blocks_.size(); ++i) {
-    n += std::popcount(blocks_[i] | other.blocks_[i]);
+    n += PopCount64(blocks_[i] | other.blocks_[i]);
   }
   return n;
 }
@@ -76,8 +77,8 @@ double KeywordSet::Jaccard(const KeywordSet& other) const {
   uint32_t inter = 0;
   uint32_t uni = 0;
   for (size_t i = 0; i < blocks_.size(); ++i) {
-    inter += std::popcount(blocks_[i] & other.blocks_[i]);
-    uni += std::popcount(blocks_[i] | other.blocks_[i]);
+    inter += PopCount64(blocks_[i] & other.blocks_[i]);
+    uni += PopCount64(blocks_[i] | other.blocks_[i]);
   }
   if (uni == 0) return 0.0;
   return static_cast<double>(inter) / static_cast<double>(uni);

@@ -1,4 +1,5 @@
-// Unaligned little-endian loads and stores, and WordView over them.
+// Unaligned little-endian loads and stores, WordView over them, and the
+// one popcount of a 64-bit word.
 //
 // An R-tree node slot (rtree/node_codec.h) packs its entries back to back,
 // so an entry's doubles, ids and augmentation words sit at offsets that are
@@ -12,6 +13,17 @@
 #include <vector>
 
 namespace stpq {
+
+/// std::popcount without its library call: the build targets baseline
+/// x86-64, which has no POPCNT instruction, so std::popcount compiles to a
+/// libgcc call per word.  Every keyword-set and keyword-summary count
+/// (KeywordSet, HilbertIntersectCount) goes through this one.
+inline uint32_t PopCount64(uint64_t x) {
+  x -= (x >> 1) & 0x5555555555555555ULL;
+  x = (x & 0x3333333333333333ULL) + ((x >> 2) & 0x3333333333333333ULL);
+  x = (x + (x >> 4)) & 0x0F0F0F0F0F0F0F0FULL;
+  return static_cast<uint32_t>((x * 0x0101010101010101ULL) >> 56);
+}
 
 template <typename T>
 T LoadUnaligned(const char* p) {

@@ -82,7 +82,7 @@ class AllocationTest : public ::testing::Test {
     Result<LoadedIndex> loaded = LoadIndexFile(path_);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     loaded_ = loaded.TakeValue();
-    ASSERT_TRUE(loaded_.store->using_mmap());
+    ASSERT_NE(loaded_.store->mapped_data(), nullptr);
     reopened_.emplace(&loaded_.feature_tables[0], opts,
                       std::move(loaded_.trees[1]));
     ASSERT_EQ(reopened_->tree().owned_slot_bytes(), 0u);

@@ -1,7 +1,12 @@
 // Tests for io/: CSV and binary dataset round trips plus error paths.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <cerrno>
+#include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -10,6 +15,7 @@
 #include "gen/synthetic.h"
 #include "io/dataset_io.h"
 #include "io/index_file.h"
+#include "io/index_format.h"
 #include "util/rng.h"
 
 namespace stpq {
@@ -383,6 +389,183 @@ TEST_F(IndexFileTest, RejectsChecksumDamage) {
   Result<Engine> e = Engine::Open(path);
   ASSERT_FALSE(e.ok());
   EXPECT_EQ(e.status().code(), StatusCode::kCorruption);
+}
+
+// Entry ids are not covered by any checksum the reader can trust (the
+// catalog that holds the node-segment checksum is itself unchecksummed), so
+// Open must check each id against what it names before a query follows it.
+// The file below carries a recomputed checksum over the damaged slot.
+class EntryIdTest : public IndexFileTest {
+ protected:
+  /// Saves the small SRT index, rewrites every entry id of object-tree node
+  /// `node` (root, or the first leaf) to `id`, and re-checksums the node
+  /// segment in its catalog row, so only the id check can reject the file.
+  std::string SaveWithEntryIds(const char* name, bool leaf, uint32_t id) {
+    Dataset ds = SmallDataset();
+    Engine engine = BuildEngine(ds, FeatureIndexKind::kSrt);
+    const RTree<2>& tree = engine.object_index().tree();
+    NodeId node = tree.root_id();
+    while (leaf && !tree.PeekView(node).IsLeaf()) {
+      node = tree.PeekView(node).id(0);
+    }
+    EXPECT_EQ(tree.PeekView(node).IsLeaf(), leaf);
+    const uint32_t entry_bytes = tree.codec().entry_bytes();
+    std::string path = Path(name);
+    EXPECT_TRUE(engine.Save(path).ok());
+
+    Result<IndexFileInfo> info = ReadIndexFileInfo(path);
+    EXPECT_TRUE(info.ok());
+    size_t row = 0;
+    while (info.value().segments[row].name !=
+           index_format::SegmentName(index_format::kSegObjectTreeNodes)) {
+      ++row;
+    }
+    const IndexSegmentInfo& seg = info.value().segments[row];
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    std::string nodes(seg.bytes, '\0');
+    f.seekg(static_cast<std::streamoff>(seg.offset));
+    f.read(nodes.data(), static_cast<std::streamsize>(nodes.size()));
+    char* slot = nodes.data() + size_t{node} * seg.slot_bytes;
+    uint32_t count = 0;
+    std::memcpy(&count, slot + 4, sizeof(count));
+    EXPECT_GT(count, 0u);
+    for (uint32_t i = 0; i < count; ++i) {
+      std::memcpy(slot + 8 + i * entry_bytes + sizeof(Rect<2>), &id,
+                  sizeof(id));
+    }
+    f.seekp(static_cast<std::streamoff>(seg.offset));
+    f.write(nodes.data(), static_cast<std::streamsize>(nodes.size()));
+    const uint64_t checksum =
+        index_format::Fnv1a64(nodes.data(), nodes.size());
+    f.seekp(static_cast<std::streamoff>(
+        index_format::kSuperblockBytes +
+        row * index_format::kCatalogEntryBytes +
+        offsetof(index_format::CatalogEntry, checksum)));
+    f.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+    return path;
+  }
+
+  static void ExpectCorruption(const std::string& path) {
+    Result<LoadedIndex> r = LoadIndexFile(path);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+        << r.status().ToString();
+    // The id check rejected it, not the (recomputed) checksum.
+    EXPECT_NE(r.status().message().find("past the"), std::string::npos)
+        << r.status().ToString();
+    Result<Engine> e = Engine::Open(path);
+    ASSERT_FALSE(e.ok());
+    EXPECT_EQ(e.status().code(), StatusCode::kCorruption);
+  }
+};
+
+TEST_F(EntryIdTest, RejectsChildIdPastTheTree) {
+  ExpectCorruption(SaveWithEntryIds("child.stpqx", /*leaf=*/false,
+                                    0x7ffffff0u));
+}
+
+TEST_F(EntryIdTest, RejectsRecordIdPastTheObjects) {
+  // 400 objects: id 400 is the first one past the end.
+  ExpectCorruption(SaveWithEntryIds("record.stpqx", /*leaf=*/true, 400));
+}
+
+// ---------------------------------------------------------------------------
+// Fault injection through the index reader's pread seam: every byte Open
+// verifies is read there (the trees then read the mapping of those bytes),
+// so these faults reach an opened engine.  The seam functions are stateful
+// file-statics; FaultTest uninstalls the seam after each case.
+// ---------------------------------------------------------------------------
+
+int g_pread_calls = 0;
+uint64_t g_cut_offset = 0;
+
+/// Fails with EINTR on every odd call; the retry loop must converge.
+ssize_t PreadEintrEveryOther(int fd, void* buf, size_t count, off_t offset) {
+  if (++g_pread_calls % 2 == 1) {
+    errno = EINTR;
+    return -1;
+  }
+  return ::pread(fd, buf, count, offset);
+}
+
+/// Hard I/O error: pread fails with EIO immediately.
+ssize_t PreadEio(int, void*, size_t, off_t) {
+  errno = EIO;
+  return -1;
+}
+
+/// The file ends at g_cut_offset for the reader: a read crossing it gets
+/// the bytes before it, then 0 (EOF), as if the file were cut there.
+ssize_t PreadCut(int fd, void* buf, size_t count, off_t offset) {
+  const uint64_t at = static_cast<uint64_t>(offset);
+  if (at >= g_cut_offset) return 0;
+  const uint64_t left = g_cut_offset - at;
+  return ::pread(fd, buf, count < left ? count : static_cast<size_t>(left),
+                 offset);
+}
+
+class FaultTest : public IndexFileTest {
+ protected:
+  void TearDown() override {
+    SetIndexPreadFnForTest(nullptr);
+    IndexFileTest::TearDown();
+  }
+};
+
+TEST_F(FaultTest, EintrIsRetriedAndAnswersAreUnchanged) {
+  Dataset ds = SmallDataset();
+  Engine built = BuildEngine(ds, FeatureIndexKind::kSrt);
+  std::string path = Path("eintr.stpqx");
+  ASSERT_TRUE(built.Save(path).ok());
+
+  g_pread_calls = 0;
+  SetIndexPreadFnForTest(&PreadEintrEveryOther);
+  Result<Engine> opened = Engine::Open(path);
+  SetIndexPreadFnForTest(nullptr);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_GT(g_pread_calls, 1) << "the EINTR attempts were not retried";
+
+  for (Algorithm algo : {Algorithm::kStds, Algorithm::kStps}) {
+    for (const Query& q : SomeQueries(48, 2)) {
+      Result<QueryResult> a = built.Execute(q, algo);
+      Result<QueryResult> b = opened.value().Execute(q, algo);
+      ASSERT_TRUE(a.ok() && b.ok());
+      EXPECT_EQ(a.value().entries, b.value().entries);
+      EXPECT_EQ(a.value().stats.object_index_reads,
+                b.value().stats.object_index_reads);
+      EXPECT_EQ(a.value().stats.feature_index_reads,
+                b.value().stats.feature_index_reads);
+    }
+  }
+  EXPECT_EQ(opened.value().page_store().stats().io_errors, 0u);
+}
+
+TEST_F(FaultTest, PreadFailureIsTypedIoError) {
+  std::string path = SaveSmallIndex("eio.stpqx");
+  SetIndexPreadFnForTest(&PreadEio);
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kIoError);
+}
+
+TEST_F(FaultTest, ZeroByteReadMidSegmentIsTypedIoError) {
+  std::string path = SaveSmallIndex("cut.stpqx");
+  Result<IndexFileInfo> info = ReadIndexFileInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  const IndexSegmentInfo* nodes = nullptr;
+  for (const IndexSegmentInfo& seg : info.value().segments) {
+    if (seg.name == index_format::SegmentName(
+                        index_format::kSegObjectTreeNodes)) {
+      nodes = &seg;
+    }
+  }
+  ASSERT_NE(nodes, nullptr);
+  ASSERT_GT(nodes->bytes, 1u);
+  g_cut_offset = nodes->offset + nodes->bytes / 2;
+  SetIndexPreadFnForTest(&PreadCut);
+  Result<Engine> e = Engine::Open(path);
+  ASSERT_FALSE(e.ok());
+  EXPECT_EQ(e.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(IndexFileTest, RejectsMissingFile) {

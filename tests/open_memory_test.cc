@@ -65,7 +65,7 @@ TEST_F(OpenMemoryTest, MappedOpenedTreeOwnsNoNodeBytes) {
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   const auto& store =
       dynamic_cast<const FilePageStore&>(opened.value().page_store());
-  ASSERT_TRUE(store.using_mmap());
+  ASSERT_NE(store.mapped_data(), nullptr);
 
   const RTree<2>& object_tree = opened.value().object_index().tree();
   EXPECT_GT(object_tree.node_count(), 100u);

@@ -5,7 +5,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cerrno>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -185,15 +184,6 @@ TEST(BufferPoolPinTest, EvictionSkipsPinnedAndTakesNextLru) {
   ASSERT_TRUE(pool.Unpin(1).ok());
 }
 
-TEST(PageStoreTest, ParseStorageBackend) {
-  EXPECT_EQ(ParseStorageBackend("simulated").value(),
-            StorageBackend::kSimulated);
-  EXPECT_EQ(ParseStorageBackend("file").value(), StorageBackend::kFile);
-  Result<StorageBackend> bad = ParseStorageBackend("bogus");
-  ASSERT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(PageStoreTest, SimulatedStoreCountsMissesOnly) {
   SimulatedPageStore store;
   BufferPool pool(4, &store);
@@ -236,62 +226,55 @@ class FilePageStoreTest : public ::testing::Test {
     return path;
   }
 
-  /// Opens `path` and a store over its descriptor.
+  /// Opens `path` and a store over its descriptor, expecting
+  /// `verified_bytes`.
   static Result<std::unique_ptr<FilePageStore>> OpenStore(
-      const std::string& path, std::vector<FilePageStore::Extent> extents,
-      FilePageStore::IoMode mode = FilePageStore::IoMode::kAuto) {
+      const std::string& path, uint64_t verified_bytes) {
     return FilePageStore::Open(::open(path.c_str(), O_RDONLY | O_CLOEXEC),
-                               path, std::move(extents), mode);
+                               path, verified_bytes);
   }
 
   std::filesystem::path dir_;
 };
 
 TEST_F(FilePageStoreTest, OpenRejectsMissingFile) {
-  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-      (dir_ / "nope.bin").string(),
-      {FilePageStore::Extent{0, 1, 0, 4096}});
+  Result<std::unique_ptr<FilePageStore>> r =
+      OpenStore((dir_ / "nope.bin").string(), 4096);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
-TEST_F(FilePageStoreTest, OpenRejectsExtentPastEof) {
+// The store maps exactly the bytes the index reader verified its segments
+// against; a file of any other size has changed since and is refused, so
+// no verified slot can lie outside the mapping.
+TEST_F(FilePageStoreTest, OpenRejectsSizeOtherThanVerified) {
   std::string path = MakeFile("short.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-      path, {FilePageStore::Extent{0, 2, 0, 4096}});  // needs 8192 bytes
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(FilePageStoreTest, OpenRejectsOverlappingExtents) {
-  std::string path = MakeFile("two.bin", 16384);
-  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-      path, {FilePageStore::Extent{0, 2, 0, 4096},
-             FilePageStore::Extent{1, 2, 8192, 4096}});
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(FilePageStoreTest, FetchCountsBytesAndErrors) {
-  for (FilePageStore::IoMode mode :
-       {FilePageStore::IoMode::kMmap, FilePageStore::IoMode::kPread}) {
-    std::string path = MakeFile("data.bin", 3 * 4096);
-    Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-        path, {FilePageStore::Extent{10, 3, 0, 4096}}, mode);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    FilePageStore& store = *r.value();
-    EXPECT_EQ(store.backend(), StorageBackend::kFile);
-    EXPECT_EQ(store.using_mmap(), mode == FilePageStore::IoMode::kMmap);
-    store.FetchPage(10);
-    store.FetchPage(12);
-    EXPECT_EQ(store.stats().fetches, 2u);
-    EXPECT_EQ(store.stats().bytes_read, 2u * 4096);
-    EXPECT_EQ(store.stats().io_errors, 0u);
-    store.FetchPage(13);  // past the extent
-    store.FetchPage(9);   // before the extent
-    EXPECT_EQ(store.stats().io_errors, 2u);
-    EXPECT_EQ(store.stats().fetches, 2u);
+  for (uint64_t verified : {uint64_t{8192}, uint64_t{4095}, uint64_t{0}}) {
+    Result<std::unique_ptr<FilePageStore>> r = OpenStore(path, verified);
+    ASSERT_FALSE(r.ok()) << verified;
+    EXPECT_EQ(r.status().code(), StatusCode::kIoError) << verified;
   }
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(path, 4096);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_NE(r.value()->mapped_data(), nullptr);
+}
+
+TEST_F(FilePageStoreTest, FetchTouchesTheSlotItIsGiven) {
+  std::string path = MakeFile("data.bin", 3 * 4096);
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(path, 3 * 4096);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  FilePageStore& store = *r.value();
+  EXPECT_EQ(store.backend(), StorageBackend::kFile);
+  const char* map = store.mapped_data();
+  store.FetchPage(10, {map, 4096});
+  store.FetchPage(12, {map + 2 * 4096, 4096});
+  EXPECT_EQ(store.stats().fetches, 2u);
+  EXPECT_EQ(store.stats().bytes_read, 2u * 4096);
+  // An access that names no slot (a pin) still counts as a fetch.
+  store.FetchPage(13, {});
+  EXPECT_EQ(store.stats().fetches, 3u);
+  EXPECT_EQ(store.stats().bytes_read, 2u * 4096);
+  EXPECT_EQ(store.stats().io_errors, 0u);
 }
 
 // A store opened over a descriptor serves the file read through it, not
@@ -307,8 +290,7 @@ TEST_F(FilePageStoreTest, OpenOverDescriptorIgnoresReplacedPath) {
   std::filesystem::rename(other, path);
 
   Result<std::unique_ptr<FilePageStore>> r =
-      FilePageStore::Open(fd, path, {FilePageStore::Extent{0, 2, 0, 4096}},
-                          FilePageStore::IoMode::kMmap);
+      FilePageStore::Open(fd, path, 2 * 4096);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   ASSERT_NE(r.value()->mapped_data(), nullptr);
   for (int i = 0; i < 256; ++i) {
@@ -318,97 +300,22 @@ TEST_F(FilePageStoreTest, OpenOverDescriptorIgnoresReplacedPath) {
 
 TEST_F(FilePageStoreTest, PoolMissTriggersFetch) {
   std::string path = MakeFile("pool.bin", 2 * 4096);
-  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-      path, {FilePageStore::Extent{0, 2, 0, 4096}});
+  Result<std::unique_ptr<FilePageStore>> r = OpenStore(path, 2 * 4096);
   ASSERT_TRUE(r.ok());
+  const char* map = r.value()->mapped_data();
   BufferPool pool(4, r.value().get());
-  pool.Access(0);  // miss -> file fetch
-  pool.Access(0);  // hit -> no fetch
-  pool.Access(1);  // miss -> file fetch
+  pool.Access(0, {map, 4096});         // miss -> file fetch
+  pool.Access(0, {map, 4096});         // hit -> no fetch
+  pool.Access(1, {map + 4096, 4096});  // miss -> file fetch
   EXPECT_EQ(r.value()->stats().fetches, 2u);
   EXPECT_EQ(r.value()->stats().bytes_read, 2u * 4096);
   // Session pools inherit the shared pool's store.
   {
     BufferPool::Session session(&pool, /*isolated=*/true);
-    session.Access(0);  // isolated pool is cold -> fetch
+    session.Access(0, {map, 4096});  // isolated pool is cold -> fetch
   }
   EXPECT_EQ(r.value()->stats().fetches, 3u);
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection through the pread seam (pread mode only; mmap has no
-// syscall to interrupt).  The seam functions are stateful file-statics:
-// install, fetch once, inspect stats() + last_error().
-// ---------------------------------------------------------------------------
-
-int g_pread_calls = 0;
-
-/// Fails with EINTR on every odd call; the retry loop must converge.
-ssize_t PreadEintrEveryOther(int fd, void* buf, size_t count, off_t offset) {
-  if (++g_pread_calls % 2 == 1) {
-    errno = EINTR;
-    return -1;
-  }
-  return ::pread(fd, buf, count, offset);
-}
-
-/// Hard I/O error: pread fails with EIO immediately.
-ssize_t PreadEio(int, void*, size_t, off_t) {
-  errno = EIO;
-  return -1;
-}
-
-/// Torn page: half the slot, then EOF — as if the file were cut mid-slot.
-ssize_t PreadTorn(int fd, void* buf, size_t count, off_t offset) {
-  if (offset == 0) return ::pread(fd, buf, count > 2048 ? 2048 : count, offset);
-  return 0;
-}
-
-TEST_F(FilePageStoreTest, EintrIsRetriedNotAnError) {
-  std::string path = MakeFile("eintr.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-      path, {FilePageStore::Extent{0, 1, 0, 4096}},
-      FilePageStore::IoMode::kPread);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  g_pread_calls = 0;
-  r.value()->SetPreadFnForTest(&PreadEintrEveryOther);
-  r.value()->FetchPage(0);
-  EXPECT_GT(g_pread_calls, 1) << "the EINTR attempt was not retried";
-  EXPECT_EQ(r.value()->stats().fetches, 1u);
-  EXPECT_EQ(r.value()->stats().bytes_read, 4096u);
-  EXPECT_EQ(r.value()->stats().io_errors, 0u);
-  EXPECT_TRUE(r.value()->last_error().ok());
-}
-
-TEST_F(FilePageStoreTest, PreadFailureIsTypedIoError) {
-  std::string path = MakeFile("eio.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-      path, {FilePageStore::Extent{0, 1, 0, 4096}},
-      FilePageStore::IoMode::kPread);
-  ASSERT_TRUE(r.ok());
-  r.value()->SetPreadFnForTest(&PreadEio);
-  r.value()->FetchPage(0);
-  EXPECT_EQ(r.value()->stats().io_errors, 1u);
-  // The attempt is still one fetch; no bytes were served.
-  EXPECT_EQ(r.value()->stats().fetches, 1u);
-  EXPECT_EQ(r.value()->stats().bytes_read, 0u);
-  Status err = r.value()->last_error();
-  EXPECT_EQ(err.code(), StatusCode::kIoError);
-}
-
-TEST_F(FilePageStoreTest, TornPageIsTypedCorruption) {
-  // EOF inside a slot means the file is shorter than the extent table
-  // promised — a corrupt index, not a transient I/O failure.
-  std::string path = MakeFile("torn.bin", 4096);
-  Result<std::unique_ptr<FilePageStore>> r = OpenStore(
-      path, {FilePageStore::Extent{0, 1, 0, 4096}},
-      FilePageStore::IoMode::kPread);
-  ASSERT_TRUE(r.ok());
-  r.value()->SetPreadFnForTest(&PreadTorn);
-  r.value()->FetchPage(0);
-  EXPECT_EQ(r.value()->stats().io_errors, 1u);
-  Status err = r.value()->last_error();
-  EXPECT_EQ(err.code(), StatusCode::kCorruption);
+  EXPECT_EQ(r.value()->stats().bytes_read, 3u * 4096);
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Tests for util/: Status, Result, TopK, Rng, QueryStats.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
+#include <limits>
 #include <set>
 
 #include "util/metrics.h"
@@ -9,6 +11,7 @@
 #include "util/rng.h"
 #include "util/status.h"
 #include "util/topk.h"
+#include "util/word_view.h"
 
 namespace stpq {
 namespace {
@@ -140,6 +143,22 @@ TEST(TopKTest, DuplicateScoresAtThresholdDoNotEvict) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ((std::set<int>{out[0].item, out[1].item}),
             (std::set<int>{1, 2}));
+}
+
+TEST(PopCount64Test, MatchesStdPopcount) {
+  EXPECT_EQ(PopCount64(0), 0u);
+  EXPECT_EQ(PopCount64(~uint64_t{0}), 64u);
+  for (int b = 0; b < 64; ++b) {
+    const uint64_t bit = uint64_t{1} << b;
+    EXPECT_EQ(PopCount64(bit), 1u) << b;
+    EXPECT_EQ(PopCount64(~bit), 63u) << b;
+  }
+  Rng rng(64);
+  for (int i = 0; i < 10000; ++i) {
+    const uint64_t w =
+        rng.UniformInt(0, std::numeric_limits<uint64_t>::max());
+    EXPECT_EQ(PopCount64(w), static_cast<uint32_t>(std::popcount(w))) << w;
+  }
 }
 
 TEST(RngTest, DeterministicBySeed) {

@@ -16,9 +16,9 @@
 //
 // Every query-running command accepts either --data FILE (build indexes
 // in memory, simulated storage) or --index FILE (reopen a prebuilt
-// .stpqx file, file-backed storage); --backend simulated|file makes the
-// choice explicit.  --kind srt|ir2 picks the feature index when
-// building; a reopened file always uses the kind it was built with.
+// .stpqx file, file-backed storage).  --kind srt|ir2 picks the feature
+// index when building; a reopened file always uses the kind it was built
+// with.
 //
 // Flags accept both "--flag value" and "--flag=value".
 // Keyword syntax: per-feature-set lists separated by ';', terms by ','.
@@ -125,7 +125,6 @@ int Usage() {
 #define STPQ_CLI_ENGINE_FLAGS                                               \
   "  --data FILE       dataset to index in memory (simulated storage)\n"    \
   "  --index FILE      prebuilt .stpqx index file to reopen instead\n"      \
-  "  --backend NAME    simulated|file (default: file iff --index given)\n"  \
   "  --kind srt|ir2    feature index to build (default srt; ignored when\n" \
   "                    reopening: the file records its kind)\n"             \
   "  --page-size N     simulated page size in bytes when building\n"        \
@@ -156,20 +155,14 @@ EngineOptions MakeEngineOptions(const Args& args) {
   return opts;
 }
 
-/// The shared engine source behind every query-running command: builds
-/// in memory from --data (simulated backend) or reopens --index (file
-/// backend), and fills `ds` with the objects, tables and vocabularies the
-/// command needs for keyword parsing and query generation.
+/// The shared engine source behind every query-running command: reopens
+/// --index (file backend) when given, else builds in memory from --data
+/// (simulated backend), and fills `ds` with the objects, tables and
+/// vocabularies the command needs for keyword parsing and query
+/// generation.
 Result<Engine> MakeEngine(const Args& args, Dataset* ds) {
   const std::string index_path = args.Get("index");
-  Result<StorageBackend> backend = ParseStorageBackend(
-      args.Get("backend", index_path.empty() ? "simulated" : "file"));
-  if (!backend.ok()) return backend.status();
-
-  if (backend.value() == StorageBackend::kFile) {
-    if (index_path.empty()) {
-      return Status::InvalidArgument("--backend=file requires --index FILE");
-    }
+  if (!index_path.empty()) {
     Result<Engine> engine = Engine::Open(index_path, MakeEngineOptions(args));
     if (!engine.ok()) return engine;
     // Rebuild the dataset view from the engine + the persisted
@@ -184,10 +177,6 @@ Result<Engine> MakeEngine(const Args& args, Dataset* ds) {
     return engine;
   }
 
-  if (!index_path.empty()) {
-    return Status::InvalidArgument(
-        "--index is only meaningful with --backend=file");
-  }
   Result<Dataset> data = LoadData(args);
   if (!data.ok()) return data.status();
   *ds = data.TakeValue();
