@@ -1,6 +1,6 @@
 // Micro-benchmarks (google-benchmark) for the substrate operations:
-// Hilbert transcoding, keyword-set algebra, signatures, R-tree queries,
-// and the buffer pool.
+// Hilbert transcoding, keyword-set algebra, signatures, R-tree range
+// queries and insertion, and the buffer pool.
 #include <benchmark/benchmark.h>
 #include <fcntl.h>
 
@@ -15,8 +15,8 @@
 #include "gen/synthetic.h"
 #include "hilbert/hilbert.h"
 #include "hilbert/keyword_hilbert.h"
+#include "index/object_index.h"
 #include "index/srt_index.h"
-#include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "obs/metrics_registry.h"
 #include "obs/trace.h"
@@ -104,32 +104,26 @@ void BM_SignatureMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_SignatureMatch);
 
-void BM_RTreeRangeQuery(benchmark::State& state) {
+void BM_ObjectIndexRangeQuery(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   Rng rng(5);
-  std::vector<RTree<2>::Entry> pts;
+  std::vector<DataObject> objects(n);
   for (int i = 0; i < n; ++i) {
-    pts.push_back({PointRect({rng.Uniform(), rng.Uniform()}),
-                   static_cast<uint32_t>(i),
-                   {}});
+    objects[i].id = static_cast<ObjectId>(i);
+    objects[i].pos = {rng.Uniform(), rng.Uniform()};
   }
-  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts), 16);
-  RTreeOptions opts;
-  opts.geometry.max_entries = 64;
-  RTree<2> tree(opts);
-  tree.BulkLoadSorted(pts);
+  ObjectIndexOptions opts;
+  opts.page_size_bytes = 16 + 64 * 36;  // fan-out 64 (FanOutForPage)
+  ObjectIndex index(&objects, opts);
   uint64_t found = 0;
   for (auto _ : state) {
     double x = rng.Uniform(0, 0.95);
     double y = rng.Uniform(0, 0.95);
-    tree.ForEachInRange(MakeRect2(x, y, x + 0.02, y + 0.02),
-                        [&](uint32_t, const Rect2&) {
-                          ++found;
-                        });
+    found += index.RangeQuery({x + 0.01, y + 0.01}, 0.01).size();
   }
   benchmark::DoNotOptimize(found);
 }
-BENCHMARK(BM_RTreeRangeQuery)->Arg(10'000)->Arg(100'000);
+BENCHMARK(BM_ObjectIndexRangeQuery)->Arg(10'000)->Arg(100'000);
 
 void BM_RTreeInsert(benchmark::State& state) {
   Rng rng(6);

@@ -32,9 +32,8 @@ MetricSummary Summarize(std::vector<double> values) {
   return out;
 }
 
-/// Builds the distribution summary from executed results (shared by the
-/// sequential and parallel drivers; the aggregate counters are filled by
-/// the caller, which owns how they were collected).
+/// Builds the distribution summary from executed results (the aggregate
+/// counters are filled by the caller, which owns how they were collected).
 WorkloadSummary SummarizeResults(const std::vector<QueryResult>& results,
                                  double io_unit_cost_ms) {
   WorkloadSummary out;
@@ -92,31 +91,6 @@ std::string WorkloadSummary::ToString() const {
   return os.str();
 }
 
-Result<WorkloadSummary> RunWorkload(const Engine& engine,
-                                    const std::vector<Query>& queries,
-                                    Algorithm algorithm,
-                                    double io_unit_cost_ms) {
-  for (size_t i = 0; i < queries.size(); ++i) {
-    Status st = engine.ValidateQuery(queries[i]);
-    if (!st.ok()) {
-      return Status::InvalidArgument("query " + std::to_string(i) + ": " +
-                                     st.message());
-    }
-  }
-  std::vector<QueryResult> results;
-  results.reserve(queries.size());
-  QueryStats aggregate;
-  for (const Query& q : queries) {
-    Result<QueryResult> r = engine.Execute(q, algorithm);
-    STPQ_CHECK(r.ok());  // pre-validated above
-    aggregate += r.value().stats;
-    results.push_back(r.TakeValue());
-  }
-  WorkloadSummary out = SummarizeResults(results, io_unit_cost_ms);
-  out.aggregate = aggregate;
-  return out;
-}
-
 Result<ParallelWorkloadReport> ParallelWorkloadRunner::Run(
     const std::vector<Query>& queries,
     const ParallelWorkloadOptions& options) const {
@@ -157,8 +131,7 @@ Result<ParallelWorkloadReport> ParallelWorkloadRunner::Run(
       if (i >= queries.size()) return;
       Result<QueryResult> r = engine_->Execute(queries[i], exec_options);
       STPQ_CHECK(r.ok());  // pre-validated above
-      const QueryStats& stats = r.value().stats;
-      hist.Record(stats.cpu_ms + stats.IoMillis(options.io_unit_cost_ms));
+      hist.Record(r.value().stats.cpu_ms);
       report.per_query[i] = r.TakeValue();
     }
   };

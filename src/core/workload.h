@@ -6,11 +6,11 @@
 // tail percentiles for CPU, simulated I/O and total time, plus the
 // aggregated algorithm counters.
 //
-// Two drivers share the summary format: RunWorkload executes the batch on
-// the calling thread, and ParallelWorkloadRunner fans it across a fixed
-// thread pool — the engine's read path is thread-safe, and with the
-// default cold_cache_per_query accounting both drivers report identical
-// per-query results and page-read counts (DESIGN.md §11).
+// ParallelWorkloadRunner fans the batch across a fixed thread pool (one
+// thread runs it sequentially).  The engine's read path is thread-safe,
+// and with the default cold_cache_per_query accounting every thread count
+// reports identical per-query results and page-read counts (DESIGN.md
+// §11).
 #ifndef STPQ_CORE_WORKLOAD_H_
 #define STPQ_CORE_WORKLOAD_H_
 
@@ -46,21 +46,13 @@ struct WorkloadSummary {
   std::string ToString() const;
 };
 
-/// Executes every query on the calling thread and summarizes costs.
-/// `io_unit_cost_ms` prices one simulated page read (the paper's dark-bar
-/// constant).  Returns InvalidArgument if any query is malformed for the
-/// engine (nothing is executed in that case).
-[[nodiscard]] Result<WorkloadSummary> RunWorkload(const Engine& engine,
-                                    const std::vector<Query>& queries,
-                                    Algorithm algorithm,
-                                    double io_unit_cost_ms);
-
 /// Knobs for the parallel driver.
 struct ParallelWorkloadOptions {
   Algorithm algorithm = Algorithm::kStps;
   /// Worker threads; 0 picks std::thread::hardware_concurrency().
   size_t threads = 1;
-  /// Price of one simulated page read in milliseconds.
+  /// Price of one simulated page read in milliseconds (the paper's
+  /// dark-bar constant); it feeds the summary's io_ms and total_ms only.
   double io_unit_cost_ms = 0.0;
   /// Optional slow-query capture shared by the workers; not owned.
   SlowQueryLog* slow_log = nullptr;
@@ -73,9 +65,10 @@ struct ParallelWorkloadReport {
   std::vector<QueryResult> per_query;  ///< one entry per input query
   double wall_ms = 0.0;                ///< end-to-end batch wall time
   double queries_per_sec = 0.0;        ///< throughput over wall time
-  /// Per-query total latency (cpu + priced I/O), accumulated in one
-  /// LatencyHistogram per worker thread and merged after the join — no
-  /// locks or atomics touch the recording path (DESIGN.md §12).
+  /// Per-query measured latency (QueryStats::cpu_ms, no modelled I/O),
+  /// accumulated in one LatencyHistogram per worker thread and merged
+  /// after the join — no locks or atomics touch the recording path
+  /// (DESIGN.md §12).
   LatencyHistogram latency;
 };
 

@@ -13,7 +13,6 @@
 #ifndef STPQ_DEBUG_VALIDATE_H_
 #define STPQ_DEBUG_VALIDATE_H_
 
-#include <span>
 #include <string>
 #include <vector>
 
@@ -22,7 +21,6 @@
 #include "index/srt_index.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
-#include "text/inverted_index.h"
 #include "util/status.h"
 
 namespace stpq {
@@ -57,8 +55,8 @@ std::string FormatRect(const Rect<D>& r) {
 ///     legally leave tail nodes under the insertion-path minimum fill);
 ///   * each internal entry's MBR is exactly the union of its child's entry
 ///     MBRs (containment + tightness);
-///   * no node is reachable twice (no sharing/cycles) and reachable +
-///     free-listed nodes account for every allocated node;
+///   * no node is reachable twice (no sharing/cycles) and every allocated
+///     node is reachable;
 ///   * the number of leaf records equals tree.size().
 ///
 /// `summary_check(parent_entry, child_entry)` is called for every entry of
@@ -193,12 +191,10 @@ Status ValidateRTree(const RTree<D, Aug>& tree, SummaryCheck&& summary_check,
   }
   uint64_t reached = 0;
   for (bool v : visited) reached += v ? 1 : 0;
-  if (reached + tree.free_node_count() != tree.node_count()) {
+  if (reached != tree.node_count()) {
     return Status::Internal(
-        std::to_string(reached) + " reachable nodes + " +
-        std::to_string(tree.free_node_count()) + " free-listed nodes do not "
-        "account for all " + std::to_string(tree.node_count()) +
-        " allocated nodes");
+        std::to_string(reached) + " reachable nodes do not account for all " +
+        std::to_string(tree.node_count()) + " allocated nodes");
   }
   return Status::OK();
 }
@@ -227,16 +223,6 @@ Status ValidateRTree(const RTree<D, Aug>& tree) {
 /// Object R-tree validation: structure plus a bijection between leaf
 /// records and the object collection.
 [[nodiscard]] Status ValidateObjectIndex(const ObjectIndex& index);
-
-/// Inverted-index validation: per-term postings sorted and duplicate-free,
-/// document ids in range, and — when `documents` is the corpus the index
-/// was built from — exact consistency in both directions (posted documents
-/// contain the term; documents containing a term are posted).
-[[nodiscard]] Status ValidateInvertedIndex(const InvertedIndex& index,
-                             std::span<const KeywordSet> documents);
-
-/// Postings-only overload for when the source corpus is unavailable.
-[[nodiscard]] Status ValidateInvertedIndex(const InvertedIndex& index);
 
 // ValidateBufferPool is declared in storage/buffer_pool.h (it needs friend
 // access); re-exported here so validators have one include point.

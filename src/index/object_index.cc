@@ -43,8 +43,7 @@ std::vector<ObjectId> ObjectIndex::RangeQuery(const Point& center,
   Rect2 box = MakeRect2(center.x - radius, center.y - radius,
                         center.x + radius, center.y + radius);
   const double r2 = radius * radius;
-  // Same traversal as RTree::ForEachInRange (LIFO stack, identical page
-  // order), unrolled here so node expansions can feed the traversal
+  // Depth-first with a LIFO stack; node expansions feed the traversal
   // profile.
   std::vector<NodeId> stack{tree_.root_id()};
   while (!stack.empty()) {

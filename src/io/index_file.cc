@@ -310,8 +310,13 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
         "node fan-out mismatch: file says " + std::to_string(max_entries) +
         ", page-size parameters derive " + std::to_string(g.max_entries));
   }
-  if (node_count > kMaxNodeCount || free_count > node_count) {
-    return Status::Corruption("implausible tree node counts");
+  if (node_count > kMaxNodeCount) {
+    return Status::Corruption("implausible tree node count");
+  }
+  if (free_count != 0) {
+    return Status::Corruption("tree metadata lists " +
+                              std::to_string(free_count) +
+                              " free nodes; a tree has none");
   }
   if (node_count != nodes_entry.slot_count) {
     return Status::Corruption("tree metadata and catalog disagree on the "
@@ -333,15 +338,6 @@ Status ParseTreeMeta(std::string_view meta, const CatalogEntry& nodes_entry,
   }
   if (root != kInvalidNodeId && root >= node_count) {
     return Status::Corruption("tree root id out of range");
-  }
-  out->free_nodes.reserve(free_count);
-  for (uint32_t i = 0; i < free_count; ++i) {
-    uint32_t id = 0;
-    if (!m.Pod(&id)) return Status::Corruption("tree free list truncated");
-    if (id >= node_count) {
-      return Status::Corruption("free-list node id out of range");
-    }
-    out->free_nodes.push_back(id);
   }
   out->root = root;
   out->height = height;
@@ -551,7 +547,7 @@ Status WriteIndexFile(const std::string& path,
     trees.push_back(visit_tree(t, [](const auto& tree, const auto& codec) {
       return MakeTreeSegments(codec.geometry(), codec.slot_bytes(),
                               tree.root_id(), tree.height(), tree.size(),
-                              tree.node_count(), tree.free_nodes());
+                              tree.node_count());
     }));
   }
   IndexPlan plan(page_size, measure(objects), sizes, std::move(trees));

@@ -68,8 +68,7 @@ void EncodeFeatureRecord(uint32_t id, const FeatureObject& f,
 TreeSegments MakeTreeSegments(const TreeGeometry& geometry,
                               uint32_t slot_bytes, NodeId root,
                               uint32_t height, uint64_t size,
-                              uint64_t node_count,
-                              const std::vector<NodeId>& free_nodes) {
+                              uint64_t node_count) {
   TreeSegments t{"", node_count, slot_bytes};
   PutPod<uint32_t>(&t.meta, root);
   PutPod<uint32_t>(&t.meta, height);
@@ -78,8 +77,7 @@ TreeSegments MakeTreeSegments(const TreeGeometry& geometry,
   PutPod<uint32_t>(&t.meta, geometry.max_entries);
   PutPod<uint32_t>(&t.meta, geometry.aug_bits);
   PutPod<uint32_t>(&t.meta, geometry.aug_words);
-  PutPod<uint32_t>(&t.meta, static_cast<uint32_t>(free_nodes.size()));
-  for (NodeId id : free_nodes) PutPod<uint32_t>(&t.meta, id);
+  PutPod<uint32_t>(&t.meta, 0);  // free-node count: trees have no free list
   return t;
 }
 

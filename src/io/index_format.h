@@ -173,12 +173,11 @@ struct TreeSegments {
 };
 
 /// Encodes a tree's metadata payload: root, height, record count, node
-/// count, fan-out, aug layout, then the free list.
+/// count, fan-out, aug layout, then a free-node count, always 0.
 TreeSegments MakeTreeSegments(const TreeGeometry& geometry,
                               uint32_t slot_bytes, NodeId root,
                               uint32_t height, uint64_t size,
-                              uint64_t node_count,
-                              const std::vector<NodeId>& free_nodes = {});
+                              uint64_t node_count);
 
 /// Record-segment sizes of one feature table.
 struct TableSizes {

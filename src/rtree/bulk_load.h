@@ -217,7 +217,6 @@ void RTree<D, Aug>::BulkLoadSorted(const std::vector<Entry>& sorted_records,
   const PackLayout layout =
       ComputePackLayout(sorted_records.size(), options_, fill);
   mapped_ = nullptr;
-  free_nodes_.clear();
   node_count_ = static_cast<uint32_t>(layout.node_count);
   arena_.assign(layout.node_count * codec_.slot_bytes(), '\0');
   auto sink = [this](NodeId id, uint16_t level,

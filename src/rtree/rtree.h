@@ -81,7 +81,6 @@ RTreeOptions TreeOptionsFor(const IndexOptions& options,
 /// A persisted tree handed to RTree::Adopt (io/index_file.*).  Its slots
 /// stay in a file mapping the caller keeps alive.
 struct RestoredTreeData {
-  std::vector<NodeId> free_nodes;
   NodeId root = kInvalidNodeId;
   uint32_t height = 0;
   uint64_t size = 0;
@@ -114,10 +113,6 @@ class RTree {
   [[nodiscard]] NodeId root_id() const { return root_; }
   [[nodiscard]] uint32_t height() const { return height_; }
   [[nodiscard]] uint32_t node_count() const { return node_count_; }
-  /// Nodes currently on the free list (recycled by CondenseTree).
-  [[nodiscard]] uint32_t free_node_count() const {
-    return static_cast<uint32_t>(free_nodes_.size());
-  }
   [[nodiscard]] uint32_t min_entries() const { return min_entries_; }
   [[nodiscard]] const RTreeOptions& options() const { return options_; }
   [[nodiscard]] const NodeCodec<D, Aug>& codec() const { return codec_; }
@@ -135,7 +130,7 @@ class RTree {
   }
 
   /// Reads a node in place without charging the buffer pool.  Used by the
-  /// debug/validate.h validators, index statistics and tree maintenance so
+  /// debug/validate.h validators, index statistics and insertion so
   /// a structural walk does not distort I/O accounting.
   [[nodiscard]] View PeekView(NodeId id) const {
     STPQ_DCHECK(id < node_count_);
@@ -155,18 +150,14 @@ class RTree {
     StoreNode(id, node);
   }
 
-  /// Every slot, node i at i * codec().slot_bytes(), free ones included:
-  /// what index files store verbatim.  Persisting them with the free list
-  /// keeps NodeIds — and therefore page ids and golden I/O counts —
-  /// identical across a save/load round trip.
+  /// Every slot, node i at i * codec().slot_bytes(): what index files
+  /// store verbatim.  Persisting them keeps NodeIds — and therefore page
+  /// ids and golden I/O counts — identical across a save/load round trip.
   [[nodiscard]] std::string_view slots() const {
     return {Base(), size_t{node_count_} * codec_.slot_bytes()};
   }
   /// Slot bytes this tree owns; 0 when it reads a file mapping.
   [[nodiscard]] size_t owned_slot_bytes() const { return arena_.size(); }
-  [[nodiscard]] const std::vector<NodeId>& free_nodes() const {
-    return free_nodes_;
-  }
 
   /// Replaces the tree wholesale with a persisted one.  The caller is
   /// responsible for consistency (checksums and slot headers at read
@@ -176,7 +167,6 @@ class RTree {
     arena_ = {};
     mapped_ = restored.mapped;
     node_count_ = restored.node_count;
-    free_nodes_ = std::move(restored.free_nodes);
     root_ = restored.root;
     height_ = restored.height;
     size_ = restored.size;
@@ -198,29 +188,6 @@ class RTree {
     STPQ_DCHECK(PeekView(root_).level() + 1u == height_);
   }
 
-  /// Deletes the record with `record_id` stored under exactly `rect`
-  /// (Guttman's Delete with CondenseTree re-insertion).  Returns false if
-  /// no such record exists.
-  bool Delete(const Rect<D>& rect, uint32_t record_id) {
-    if (root_ == kInvalidNodeId) return false;
-    path_.clear();
-    if (!FindLeaf(root_, rect, record_id)) return false;
-    const NodeId leaf =
-        path_.empty() ? root_
-                      : PeekView(path_.back().first).id(path_.back().second);
-    Node node = PeekNode(leaf);
-    for (size_t i = 0; i < node.entries.size(); ++i) {
-      if (node.entries[i].id == record_id &&
-          RectsEqual(node.entries[i].rect, rect)) {
-        node.entries.erase(node.entries.begin() + i);
-        break;
-      }
-    }
-    --size_;
-    CondenseTree(leaf, std::move(node));
-    return true;
-  }
-
   /// Bulk loads from records pre-sorted by the caller (e.g. by Hilbert key
   /// per Kamel & Faloutsos, or by STR tiles).  Replaces any existing content.
   /// `fill` is the target leaf/node occupancy fraction.  Defined in
@@ -230,7 +197,7 @@ class RTree {
                       double fill = 1.0);
 
   /// Parent entry for a node holding `entries` (MBR union + Aug merge):
-  /// the one summary fold of insertion, bulk packing and CheckInvariants.
+  /// the one summary fold of insertion and bulk packing.
   static Entry Summarize(std::span<const Entry> entries, NodeId id) {
     STPQ_DCHECK(!entries.empty());
     Entry out;
@@ -242,37 +209,6 @@ class RTree {
       out.aug = Aug::Merge(out.aug, entries[i].aug);
     }
     return out;
-  }
-
-  /// Calls `fn(record_id, rect)` for every leaf record whose rectangle
-  /// intersects `range`.
-  template <typename Fn>
-  void ForEachInRange(const Rect<D>& range, Fn&& fn) const {
-    if (root_ == kInvalidNodeId) return;
-    // Iterative DFS; stack holds node ids whose MBR intersects the range.
-    std::vector<NodeId> stack{root_};
-    while (!stack.empty()) {
-      NodeId nid = stack.back();
-      stack.pop_back();
-      const View node = ReadNode(nid);
-      for (uint32_t i = 0; i < node.count(); ++i) {
-        const Rect<D> r = node.rect(i);
-        if (!range.Intersects(r)) continue;
-        if (node.IsLeaf()) {
-          fn(node.id(i), r);
-        } else {
-          stack.push_back(node.id(i));
-        }
-      }
-    }
-  }
-
-  /// Recomputes and verifies every internal entry's MBR and augmentation
-  /// (test hook).  `aug_equal` compares augmentation values.
-  template <typename AugEq>
-  bool CheckInvariants(AugEq&& aug_equal) const {
-    if (root_ == kInvalidNodeId) return true;
-    return CheckNode(root_, height_ - 1, aug_equal);
   }
 
  private:
@@ -293,162 +229,10 @@ class RTree {
   }
 
   NodeId NewNode(uint16_t level) {
-    NodeId id;
-    if (!free_nodes_.empty()) {
-      id = free_nodes_.back();
-      free_nodes_.pop_back();
-    } else {
-      id = node_count_++;
-      arena_.resize(arena_.size() + codec_.slot_bytes());
-    }
+    const NodeId id = node_count_++;
+    arena_.resize(arena_.size() + codec_.slot_bytes());
     StoreNode(id, Node{level, {}});
     return id;
-  }
-
-  /// Empties a node's slot (keeping its level) and recycles its id.
-  void FreeNode(NodeId id) {
-    StoreNode(id, Node{PeekView(id).level(), {}});
-    free_nodes_.push_back(id);
-  }
-
-  static bool RectsEqual(const Rect<D>& a, const Rect<D>& b) {
-    for (int d = 0; d < D; ++d) {
-      if (a.lo[d] != b.lo[d] || a.hi[d] != b.hi[d]) return false;
-    }
-    return true;
-  }
-
-  /// Depth-first search for the leaf holding (rect, record_id); fills
-  /// path_ with the descent on success.
-  bool FindLeaf(NodeId nid, const Rect<D>& rect, uint32_t record_id) {
-    const View node = PeekView(nid);
-    if (node.IsLeaf()) {
-      for (uint32_t i = 0; i < node.count(); ++i) {
-        if (node.id(i) == record_id && RectsEqual(node.rect(i), rect)) {
-          return true;
-        }
-      }
-      return false;
-    }
-    for (uint32_t i = 0; i < node.count(); ++i) {
-      if (!node.rect(i).ContainsRect(rect)) continue;
-      path_.push_back({nid, i});
-      if (FindLeaf(node.id(i), rect, record_id)) return true;
-      path_.pop_back();
-    }
-    return false;
-  }
-
-  /// Guttman's CondenseTree: walks the recorded path upward from `changed`
-  /// (whose edited content is `node`), dissolving underfull nodes and
-  /// re-inserting their entries, then shrinks the root.
-  void CondenseTree(NodeId changed, Node node) {
-    std::vector<std::pair<Entry, uint16_t>> orphans;  // entry, node level
-    while (!path_.empty()) {
-      auto [parent, slot] = path_.back();
-      path_.pop_back();
-      Node parent_node = PeekNode(parent);
-      if (node.entries.size() < min_entries_) {
-        for (const Entry& e : node.entries) orphans.push_back({e, node.level});
-        FreeNode(changed);
-        parent_node.entries.erase(parent_node.entries.begin() + slot);
-      } else {
-        StoreNode(changed, node);
-        parent_node.entries[slot] = Summarize(node.entries, changed);
-      }
-      changed = parent;
-      node = std::move(parent_node);
-    }
-    StoreNode(changed, node);
-    // Shrink the root while it is an internal node with a single child.
-    while (root_ != kInvalidNodeId && !PeekView(root_).IsLeaf() &&
-           PeekView(root_).count() == 1) {
-      NodeId old = root_;
-      root_ = PeekView(root_).id(0);
-      FreeNode(old);
-      --height_;
-    }
-    if (root_ != kInvalidNodeId && PeekView(root_).count() == 0) {
-      FreeNode(root_);
-      root_ = kInvalidNodeId;
-      height_ = 0;
-    }
-    // Re-insert orphans at their original level (leaf records via Insert,
-    // which increments size_ — compensate since they were already counted).
-    for (auto& [entry, level] : orphans) {
-      if (level == 0) {
-        Insert(entry.rect, entry.id, entry.aug);
-        --size_;
-      } else {
-        InsertAtLevel(entry, level);
-      }
-    }
-  }
-
-  /// Inserts a subtree entry at a node of exactly `node_level`.  Falls back
-  /// to record-level re-insertion when the tree is now too shallow.
-  void InsertAtLevel(const Entry& entry, uint16_t node_level) {
-    if (root_ == kInvalidNodeId || PeekView(root_).level() < node_level) {
-      // The tree shrank below the orphan's level: re-insert its records.
-      ReinsertRecords(entry.id);
-      FreeSubtree(entry.id);
-      return;
-    }
-    path_.clear();
-    NodeId cur = root_;
-    while (PeekView(cur).level() != node_level) {
-      const View node = PeekView(cur);
-      uint32_t best = 0;
-      double best_enlarge = std::numeric_limits<double>::infinity();
-      for (uint32_t i = 0; i < node.count(); ++i) {
-        double enlarge = node.rect(i).EnlargementArea(entry.rect);
-        if (enlarge < best_enlarge) {
-          best = i;
-          best_enlarge = enlarge;
-        }
-      }
-      path_.push_back({cur, best});
-      cur = node.id(best);
-    }
-    Node node = PeekNode(cur);
-    node.entries.push_back(entry);
-    PropagateUp(cur, std::move(node));
-  }
-
-  /// Re-inserts every leaf record under node `nid` (fallback path).
-  void ReinsertRecords(NodeId nid) {
-    std::vector<Entry> records;
-    std::vector<NodeId> stack{nid};
-    while (!stack.empty()) {
-      NodeId cur = stack.back();
-      stack.pop_back();
-      const Node node = PeekNode(cur);
-      for (const Entry& e : node.entries) {
-        if (node.IsLeaf()) {
-          records.push_back(e);
-        } else {
-          stack.push_back(e.id);
-        }
-      }
-    }
-    for (const Entry& e : records) {
-      Insert(e.rect, e.id, e.aug);
-      --size_;  // already counted
-    }
-  }
-
-  /// Returns every node of the subtree rooted at `nid` to the free list.
-  void FreeSubtree(NodeId nid) {
-    std::vector<NodeId> stack{nid};
-    while (!stack.empty()) {
-      NodeId cur = stack.back();
-      stack.pop_back();
-      const View node = PeekView(cur);
-      if (!node.IsLeaf()) {
-        for (uint32_t i = 0; i < node.count(); ++i) stack.push_back(node.id(i));
-      }
-      FreeNode(cur);
-    }
   }
 
   /// Descends to the leaf with minimal area enlargement, recording the path
@@ -620,22 +404,6 @@ class RTree {
     return sid;
   }
 
-  template <typename AugEq>
-  bool CheckNode(NodeId nid, uint16_t expected_level, AugEq& aug_equal) const {
-    const Node node = PeekNode(nid);
-    if (node.level != expected_level) return false;
-    if (node.IsLeaf()) return true;
-    for (const Entry& e : node.entries) {
-      const Node child = PeekNode(e.id);
-      if (child.entries.empty()) return false;
-      const Entry expect = Summarize(child.entries, e.id);
-      if (!RectsEqual(expect.rect, e.rect)) return false;
-      if (!aug_equal(expect.aug, e.aug)) return false;
-      if (!CheckNode(e.id, expected_level - 1, aug_equal)) return false;
-    }
-    return true;
-  }
-
   RTreeOptions options_;
   NodeCodec<D, Aug> codec_;
   uint32_t min_entries_;
@@ -644,7 +412,6 @@ class RTree {
   std::vector<char> arena_;
   const char* mapped_ = nullptr;
   uint32_t node_count_ = 0;
-  std::vector<NodeId> free_nodes_;
   NodeId root_ = kInvalidNodeId;
   uint32_t height_ = 0;
   uint64_t size_ = 0;

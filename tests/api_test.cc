@@ -1,6 +1,5 @@
 // Tests for the extended public API: the incremental StpsCursor, result
-// explanation, the Voronoi cell cache, index introspection, and R-tree
-// deletion.
+// explanation, the Voronoi cell cache, and index introspection.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -15,8 +14,6 @@
 #include "gen/synthetic.h"
 #include "index/index_stats.h"
 #include "paper_example.h"
-#include "rtree/rtree.h"
-#include "util/rng.h"
 
 namespace stpq {
 namespace {
@@ -394,128 +391,6 @@ TEST(IndexStatsTest, SrtLeavesClusterScoreAndText) {
   EXPECT_LT(rs.avg_leaf_keyword_count, ri.avg_leaf_keyword_count);
   // The price: SRT leaves are spatially wider.
   EXPECT_GT(rs.avg_leaf_spatial_margin, ri.avg_leaf_spatial_margin);
-}
-
-// --------------------------------------------------------- rtree deletion
-
-TEST(RTreeDeleteTest, DeleteMakesRecordUnreachable) {
-  RTreeOptions opts;
-  opts.geometry.max_entries = 8;
-  RTree<2> tree(opts);
-  Rng rng(31);
-  std::vector<RTree<2>::Entry> pts;
-  for (uint32_t i = 0; i < 500; ++i) {
-    Point p{rng.Uniform(), rng.Uniform()};
-    pts.push_back({PointRect(p), i, {}});
-    tree.Insert(pts.back().rect, i);
-  }
-  EXPECT_TRUE(tree.Delete(pts[123].rect, 123));
-  EXPECT_EQ(tree.size(), 499u);
-  bool found = false;
-  tree.ForEachInRange(pts[123].rect,
-                      [&](uint32_t id, const Rect2&) {
-                        if (id == 123) found = true;
-                      });
-  EXPECT_FALSE(found);
-  // Deleting again fails.
-  EXPECT_FALSE(tree.Delete(pts[123].rect, 123));
-  // Everything else still reachable.
-  std::set<uint32_t> seen;
-  tree.ForEachInRange(MakeRect2(0, 0, 1, 1),
-                      [&](uint32_t id, const Rect2&) {
-                        seen.insert(id);
-                      });
-  EXPECT_EQ(seen.size(), 499u);
-}
-
-TEST(RTreeDeleteTest, DeleteAllEmptiesTree) {
-  RTreeOptions opts;
-  opts.geometry.max_entries = 4;  // aggressive splits and condensations
-  RTree<2> tree(opts);
-  Rng rng(32);
-  std::vector<RTree<2>::Entry> pts;
-  for (uint32_t i = 0; i < 200; ++i) {
-    Point p{rng.Uniform(), rng.Uniform()};
-    pts.push_back({PointRect(p), i, {}});
-    tree.Insert(pts.back().rect, i);
-  }
-  for (uint32_t i = 0; i < 200; ++i) {
-    EXPECT_TRUE(tree.Delete(pts[i].rect, i)) << i;
-    EXPECT_EQ(tree.size(), 199u - i);
-    EXPECT_TRUE(tree.CheckInvariants(
-        [](const NoAug&, const NoAug&) { return true; }))
-        << "after deleting " << i;
-  }
-  EXPECT_TRUE(tree.empty());
-  EXPECT_EQ(tree.root_id(), kInvalidNodeId);
-  // Tree is reusable after emptying.
-  tree.Insert(PointRect({0.5, 0.5}), 42);
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(RTreeDeleteTest, InterleavedInsertDeleteMatchesBruteForce) {
-  RTreeOptions opts;
-  opts.geometry.max_entries = 6;
-  RTree<2> tree(opts);
-  Rng rng(33);
-  std::map<uint32_t, Rect2> live;
-  uint32_t next_id = 0;
-  for (int step = 0; step < 2000; ++step) {
-    if (live.empty() || rng.Bernoulli(0.6)) {
-      Point p{rng.Uniform(), rng.Uniform()};
-      Rect2 r = PointRect(p);
-      tree.Insert(r, next_id);
-      live[next_id] = r;
-      ++next_id;
-    } else {
-      auto it = live.begin();
-      std::advance(it, rng.UniformInt(0, live.size() - 1));
-      EXPECT_TRUE(tree.Delete(it->second, it->first));
-      live.erase(it);
-    }
-  }
-  EXPECT_EQ(tree.size(), live.size());
-  std::set<uint32_t> seen;
-  tree.ForEachInRange(MakeRect2(0, 0, 1, 1),
-                      [&](uint32_t id, const Rect2&) {
-                        seen.insert(id);
-                      });
-  std::set<uint32_t> expect;
-  for (const auto& [id, r] : live) expect.insert(id);
-  EXPECT_EQ(seen, expect);
-  EXPECT_TRUE(tree.CheckInvariants(
-      [](const NoAug&, const NoAug&) { return true; }));
-}
-
-TEST(RTreeDeleteTest, AugmentsMaintainedAfterDelete) {
-  struct MaxAug {
-    double value = 0.0;
-    static MaxAug Merge(const MaxAug& a, const MaxAug& b) {
-      return {std::max(a.value, b.value)};
-    }
-  };
-  RTreeOptions opts;
-  opts.geometry.max_entries = 4;
-  RTree<2, MaxAug> tree(opts);
-  Rng rng(34);
-  std::vector<std::pair<Rect2, double>> recs;
-  for (uint32_t i = 0; i < 300; ++i) {
-    Point p{rng.Uniform(), rng.Uniform()};
-    double v = rng.Uniform();
-    recs.push_back({PointRect(p), v});
-    tree.Insert(recs.back().first, i, MaxAug{v});
-  }
-  for (uint32_t i = 0; i < 150; ++i) {
-    ASSERT_TRUE(tree.Delete(recs[i].first, i));
-  }
-  EXPECT_TRUE(tree.CheckInvariants([](const MaxAug& a, const MaxAug& b) {
-    return a.value == b.value;
-  }));
-}
-
-TEST(RTreeDeleteTest, DeleteOnEmptyTree) {
-  RTree<2> tree;
-  EXPECT_FALSE(tree.Delete(PointRect({0.5, 0.5}), 0));
 }
 
 }  // namespace

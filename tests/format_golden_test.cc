@@ -28,7 +28,7 @@ namespace {
 // Whole-file FNV-1a64 digests of the fixtures below.
 constexpr uint64_t kSrtHilbertDigest = 0x1b92effa4f273421ULL;
 constexpr uint64_t kIr2HilbertDigest = 0x39f922f91678e847ULL;
-constexpr uint64_t kSrtInsertFreeListDigest = 0xa2b5e9b859719ae2ULL;
+constexpr uint64_t kSrtInsertDigest = 0x56a3afaf8b242a11ULL;
 constexpr uint64_t kEmptyTableDigest = 0x50a1de370705be65ULL;
 
 class FormatGoldenTest : public ::testing::Test {
@@ -70,20 +70,15 @@ class FormatGoldenTest : public ::testing::Test {
     return index_format::Fnv1a64(bytes.data(), bytes.size());
   }
 
-  uint64_t SavedDigest(const Engine& engine, const Dataset& ds,
-                       const char* name) {
-    const std::string path = Path(name);
-    const Status s = engine.Save(path, ds.vocabularies);
-    EXPECT_TRUE(s.ok()) << s.ToString();
-    return FileDigest(path);
-  }
-
   uint64_t SavedDigest(const Dataset& ds, const EngineOptions& opts,
                        const char* name) {
     Result<Engine> engine = Engine::Build(
         ds.objects, std::vector<FeatureTable>(ds.feature_tables), opts);
     EXPECT_TRUE(engine.ok()) << engine.status().ToString();
-    return SavedDigest(engine.value(), ds, name);
+    const std::string path = Path(name);
+    const Status s = engine.value().Save(path, ds.vocabularies);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return FileDigest(path);
   }
 
   /// The external loader pins to the same constant as Save.
@@ -121,27 +116,14 @@ TEST_F(FormatGoldenTest, Ir2Hilbert) {
   EXPECT_EQ(ExternalDigest(ds, opts, "ir2_ext.stpqx"), kIr2HilbertDigest);
 }
 
-TEST_F(FormatGoldenTest, SrtInsertWithFreeList) {
-  // Guttman insertion, then deleting whole leaves: CondenseTree recycles
-  // their nodes, so the saved tree metadata carries a non-empty free list.
+TEST_F(FormatGoldenTest, SrtInsert) {
+  // Guttman insertion instead of bulk packing: the split order, not the
+  // packer, decides which slot holds which node.
   const Dataset ds = SmallDataset();
-  Result<Engine> engine = Engine::Build(
-      ds.objects, std::vector<FeatureTable>(ds.feature_tables),
-      Options(FeatureIndexKind::kSrt, BulkLoadKind::kInsert));
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-  auto& srt = const_cast<SrtIndex&>(
-      dynamic_cast<const SrtIndex&>(engine.value().feature_index(0)));
-  RTree<4, SrtAug>& tree = srt.mutable_tree_for_test();
-  std::vector<RTree<4, SrtAug>::Entry> doomed;
-  for (NodeId id = 0; id < tree.node_count() && doomed.size() < 60; ++id) {
-    const auto& node = tree.PeekNode(id);
-    if (!node.IsLeaf()) continue;
-    doomed.insert(doomed.end(), node.entries.begin(), node.entries.end());
-  }
-  for (const auto& e : doomed) ASSERT_TRUE(tree.Delete(e.rect, e.id));
-  ASSERT_GT(tree.free_node_count(), 0u);
-  EXPECT_EQ(SavedDigest(engine.value(), ds, "insert.stpqx"),
-            kSrtInsertFreeListDigest);
+  EXPECT_EQ(SavedDigest(ds, Options(FeatureIndexKind::kSrt,
+                                    BulkLoadKind::kInsert),
+                        "insert.stpqx"),
+            kSrtInsertDigest);
 }
 
 TEST_F(FormatGoldenTest, EmptyTable) {

@@ -18,7 +18,6 @@
 #include "index/object_index.h"
 #include "index/srt_index.h"
 #include "storage/buffer_pool.h"
-#include "text/inverted_index.h"
 
 namespace stpq {
 namespace {
@@ -84,34 +83,6 @@ TEST(ObjectIndexValidatorTest, AcceptsFreshIndex) {
   ObjectIndex index(&ds.objects, opts);
   ASSERT_GE(index.tree().height(), 2u);  // corruption tests need depth
   Status st = ValidateObjectIndex(index);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-}
-
-TEST(RTreeValidatorTest, AcceptsInsertDeleteChurn) {
-  RTreeOptions opts;
-  opts.geometry.max_entries = 4;
-  RTree<2> tree(opts);
-  std::vector<Rect2> rects;
-  for (uint32_t i = 0; i < 60; ++i) {
-    double x = 0.01 * i, y = 0.02 * (i % 7);
-    rects.push_back(MakeRect2(x, y, x + 0.005, y + 0.005));
-    tree.Insert(rects.back(), i);
-  }
-  for (uint32_t i = 0; i < 60; i += 3) {
-    ASSERT_TRUE(tree.Delete(rects[i], i));
-  }
-  Status st = ValidateRTree<2, NoAug>(tree);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-}
-
-TEST(InvertedIndexValidatorTest, AcceptsFreshIndex) {
-  Dataset ds = MakeDataset();
-  std::vector<KeywordSet> corpus;
-  for (const FeatureObject& f : ds.feature_tables[0].All()) {
-    corpus.push_back(f.keywords);
-  }
-  InvertedIndex idx = InvertedIndex::Build(24, corpus);
-  Status st = ValidateInvertedIndex(idx, corpus);
   EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
@@ -285,33 +256,6 @@ TEST(Ir2ValidatorTest, DetectsLeafSignatureMismatch) {
   Status st = ValidateIr2Tree(index);
   ASSERT_FALSE(st.ok());
   EXPECT_NE(st.message().find("signature"), std::string::npos)
-      << st.ToString();
-}
-
-// --------------------------------------------------- inverted index faults
-
-TEST(InvertedIndexValidatorTest, DetectsUnsortedPostings) {
-  std::vector<KeywordSet> corpus = {KeywordSet(4, {0}), KeywordSet(4, {0, 1}),
-                                    KeywordSet(4, {1})};
-  InvertedIndex idx = InvertedIndex::Build(4, corpus);
-  auto& postings = idx.mutable_postings_for_test();
-  ASSERT_GE(postings.size(), 2u);
-  std::swap(postings[0], postings[1]);  // term 0's list becomes [1, 0]
-  Status st = ValidateInvertedIndex(idx);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("increasing"), std::string::npos)
-      << st.ToString();
-}
-
-TEST(InvertedIndexValidatorTest, DetectsPhantomPosting) {
-  std::vector<KeywordSet> corpus = {KeywordSet(4, {0}), KeywordSet(4, {0, 1}),
-                                    KeywordSet(4, {1})};
-  InvertedIndex idx = InvertedIndex::Build(4, corpus);
-  // Term 0's postings become [0, 2]; document 2 does not contain term 0.
-  idx.mutable_postings_for_test()[1] = 2;
-  Status st = ValidateInvertedIndex(idx, corpus);
-  ASSERT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("phantom"), std::string::npos)
       << st.ToString();
 }
 

@@ -11,6 +11,7 @@
 #include <fstream>
 
 #include "core/engine.h"
+#include "gen/queries.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
 #include "io/dataset_io.h"
@@ -467,6 +468,97 @@ TEST_F(EntryIdTest, RejectsChildIdPastTheTree) {
 TEST_F(EntryIdTest, RejectsRecordIdPastTheObjects) {
   // 400 objects: id 400 is the first one past the end.
   ExpectCorruption(SaveWithEntryIds("record.stpqx", /*leaf=*/true, 400));
+}
+
+// A tree has no free list: the metadata's free-node count field is always
+// written 0, and Open rejects any other value.  The damaged segment gets a
+// recomputed checksum, so only the count check can reject it.
+TEST_F(IndexFileTest, RejectsNonZeroFreeNodeCount) {
+  std::string path = SaveSmallIndex("free.stpqx");
+  Result<IndexFileInfo> info = ReadIndexFileInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  size_t row = 0;
+  while (info.value().segments[row].name !=
+         index_format::SegmentName(index_format::kSegObjectTreeMeta)) {
+    ++row;
+  }
+  const IndexSegmentInfo& seg = info.value().segments[row];
+  // root, height, size (u64), node count, fan-out, aug bits, aug words,
+  // then the u32 free-node count.
+  constexpr size_t kFreeCountOffset = 4 + 4 + 8 + 4 + 4 + 4 + 4;
+  ASSERT_EQ(seg.bytes, kFreeCountOffset + 4);
+  std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+  std::string meta(seg.bytes, '\0');
+  f.seekg(static_cast<std::streamoff>(seg.offset));
+  f.read(meta.data(), static_cast<std::streamsize>(meta.size()));
+  uint32_t free_count = 0;
+  std::memcpy(&free_count, meta.data() + kFreeCountOffset, 4);
+  ASSERT_EQ(free_count, 0u);
+  free_count = 1;
+  std::memcpy(meta.data() + kFreeCountOffset, &free_count, 4);
+  f.seekp(static_cast<std::streamoff>(seg.offset));
+  f.write(meta.data(), static_cast<std::streamsize>(meta.size()));
+  const uint64_t checksum = index_format::Fnv1a64(meta.data(), meta.size());
+  f.seekp(static_cast<std::streamoff>(
+      index_format::kSuperblockBytes + row * index_format::kCatalogEntryBytes +
+      offsetof(index_format::CatalogEntry, checksum)));
+  f.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  f.close();
+
+  Result<LoadedIndex> r = LoadIndexFile(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kCorruption)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("free nodes"), std::string::npos)
+      << r.status().ToString();
+}
+
+// Page-read accounting on an opened file: every page read a query reports
+// is one store fetch, and with warm shared pools one pool miss, whatever
+// the index kind, the pool capacity and the cold-session setting.
+TEST_F(IndexFileTest, PageReadsEqualStoreFetchesEqualPoolMisses) {
+  SyntheticConfig cfg;
+  cfg.seed = 11;
+  cfg.num_objects = 3000;
+  cfg.num_features_per_set = 3000;
+  cfg.num_feature_sets = 2;
+  cfg.vocabulary_size = 48;
+  cfg.num_clusters = 64;
+  const Dataset ds = GenerateSynthetic(cfg);
+  QueryWorkloadConfig qcfg;
+  qcfg.count = 50;
+  std::vector<Query> queries = GenerateQueries(ds, qcfg);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    queries[i].variant = static_cast<ScoreVariant>(i % 3);
+  }
+  for (FeatureIndexKind kind : {FeatureIndexKind::kSrt, FeatureIndexKind::kIr2}) {
+    const std::string path = Path("acct.stpqx");
+    ASSERT_TRUE(BuildEngine(ds, kind).Save(path).ok());
+    for (uint64_t capacity : {uint64_t{0}, uint64_t{64}}) {
+      for (bool cold : {true, false}) {
+        SCOPED_TRACE(testing::Message()
+                     << (kind == FeatureIndexKind::kSrt ? "SRT" : "IR2")
+                     << " capacity=" << capacity << " cold=" << cold);
+        EngineOptions opts;
+        opts.storage.pool_capacity = capacity;
+        opts.cold_cache_per_query = cold;
+        Result<Engine> engine = Engine::Open(path, opts);
+        ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+        uint64_t reads = 0;
+        for (const Query& q : queries) {
+          Result<QueryResult> r = engine.value().Execute(q, Algorithm::kStps);
+          ASSERT_TRUE(r.ok()) << r.status().ToString();
+          reads += r.value().stats.TotalReads();
+        }
+        EXPECT_GT(reads, 0u);
+        EXPECT_EQ(reads, engine.value().page_store().stats().fetches);
+        if (!cold) {
+          EXPECT_EQ(reads, engine.value().object_pool().stats().reads +
+                               engine.value().feature_pool().stats().reads);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

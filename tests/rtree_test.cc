@@ -1,10 +1,14 @@
-// Tests for rtree/: insertion, splits, bulk loading, traversal, invariants,
-// augmentation maintenance, and I/O accounting.
+// Tests for rtree/: insertion, splits, bulk loading, invariants (through
+// ValidateRTree), augmentation maintenance, and, through the object
+// index's range query, traversal and I/O accounting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
 
+#include "debug/validate.h"
+#include "index/object_index.h"
 #include "rtree/bulk_load.h"
 #include "rtree/rtree.h"
 #include "util/rng.h"
@@ -24,29 +28,81 @@ std::vector<Tree2::Entry> RandomPoints(Rng* rng, int n) {
   return out;
 }
 
-std::set<uint32_t> BruteRange(const std::vector<Tree2::Entry>& pts,
-                              const Rect2& range) {
-  std::set<uint32_t> out;
-  for (const auto& e : pts) {
-    if (range.Intersects(e.rect)) out.insert(e.id);
+/// Validates `tree` with ValidateRTree (uniform leaf depth, parent MBRs
+/// the exact union of their children, every node reachable exactly once,
+/// leaf count equal to size()) and returns its leaf records by id.
+template <int D, typename Aug>
+std::map<uint32_t, Rect<D>> ValidatedRecords(const RTree<D, Aug>& tree) {
+  std::map<uint32_t, Rect<D>> records;
+  auto no_summary = [](const auto&, const auto&) { return Status::OK(); };
+  auto collect = [&](const typename RTree<D, Aug>::Entry& e, bool leaf) {
+    if (leaf && !records.emplace(e.id, e.rect).second) {
+      return Status::Internal("record " + std::to_string(e.id) +
+                              " stored twice");
+    }
+    return Status::OK();
+  };
+  Status st = ValidateRTree<D, Aug>(tree, no_summary, collect);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return records;
+}
+
+/// The tree holds exactly the records `expect`, each under its own rect.
+template <int D, typename Aug>
+void ExpectRecords(const RTree<D, Aug>& tree,
+                   const std::vector<typename RTree<D, Aug>::Entry>& expect) {
+  const std::map<uint32_t, Rect<D>> got = ValidatedRecords(tree);
+  ASSERT_EQ(got.size(), expect.size());
+  for (const auto& e : expect) {
+    auto it = got.find(e.id);
+    ASSERT_NE(it, got.end()) << "record " << e.id << " missing";
+    EXPECT_EQ(it->second.lo, e.rect.lo) << e.id;
+    EXPECT_EQ(it->second.hi, e.rect.hi) << e.id;
+  }
+}
+
+std::vector<DataObject> RandomObjects(Rng* rng, int n) {
+  std::vector<DataObject> out(n);
+  for (int i = 0; i < n; ++i) {
+    out[i].id = static_cast<ObjectId>(i);
+    out[i].pos = {rng->Uniform(), rng->Uniform()};
   }
   return out;
 }
 
-std::set<uint32_t> TreeRange(const Tree2& tree, const Rect2& range) {
-  std::set<uint32_t> out;
-  tree.ForEachInRange(range,
-                      [&](uint32_t id, const Rect2&) {
-                        out.insert(id);
-                      });
+std::set<ObjectId> BruteCircle(const std::vector<DataObject>& objects,
+                               const Point& center, double radius) {
+  std::set<ObjectId> out;
+  for (const DataObject& o : objects) {
+    if (SquaredDistance(o.pos, center) <= radius * radius) out.insert(o.id);
+  }
   return out;
+}
+
+std::set<ObjectId> IndexCircle(const ObjectIndex& index, const Point& center,
+                               double radius) {
+  const std::vector<ObjectId> hits = index.RangeQuery(center, radius);
+  std::set<ObjectId> out(hits.begin(), hits.end());
+  EXPECT_EQ(out.size(), hits.size()) << "an object reported twice";
+  return out;
+}
+
+/// Object-index options whose pages hold `fanout` entries.
+ObjectIndexOptions FanOutOptions(uint32_t fanout) {
+  ObjectIndexOptions opts;
+  opts.page_size_bytes = 16 + fanout * 36;  // see FanOutForPage
+  EXPECT_EQ(ObjectIndex::Geometry(opts.page_size_bytes).max_entries, fanout);
+  return opts;
 }
 
 TEST(RTreeTest, EmptyTree) {
   Tree2 tree;
   EXPECT_TRUE(tree.empty());
   EXPECT_EQ(tree.root_id(), kInvalidNodeId);
-  EXPECT_EQ(TreeRange(tree, MakeRect2(0, 0, 1, 1)).size(), 0u);
+  EXPECT_TRUE(ValidatedRecords(tree).empty());
+  const std::vector<DataObject> none;
+  ObjectIndex index(&none, FanOutOptions(8));
+  EXPECT_TRUE(IndexCircle(index, {0.5, 0.5}, 1.0).empty());
 }
 
 TEST(RTreeTest, SingleInsert) {
@@ -54,9 +110,7 @@ TEST(RTreeTest, SingleInsert) {
   tree.Insert(PointRect({0.5, 0.5}), 42);
   EXPECT_EQ(tree.size(), 1u);
   EXPECT_EQ(tree.height(), 1u);
-  auto hits = TreeRange(tree, MakeRect2(0.4, 0.4, 0.6, 0.6));
-  EXPECT_EQ(hits, std::set<uint32_t>{42});
-  EXPECT_TRUE(TreeRange(tree, MakeRect2(0.6, 0.6, 0.7, 0.7)).empty());
+  ExpectRecords(tree, {{PointRect({0.5, 0.5}), 42, {}}});
 }
 
 class RTreeInsertTest : public ::testing::TestWithParam<int> {};
@@ -70,13 +124,7 @@ TEST_P(RTreeInsertTest, InsertMatchesBruteForce) {
   Tree2 tree(opts);
   for (const auto& e : pts) tree.Insert(e.rect, e.id);
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
-  EXPECT_TRUE(tree.CheckInvariants(
-      [](const NoAug&, const NoAug&) { return true; }));
-  for (int q = 0; q < 25; ++q) {
-    Rect2 range = MakeRect2(rng.Uniform(), rng.Uniform(), rng.Uniform(),
-                            rng.Uniform());
-    EXPECT_EQ(TreeRange(tree, range), BruteRange(pts, range));
-  }
+  ExpectRecords(tree, pts);
 }
 
 TEST_P(RTreeInsertTest, BulkLoadHilbertMatchesBruteForce) {
@@ -90,13 +138,7 @@ TEST_P(RTreeInsertTest, BulkLoadHilbertMatchesBruteForce) {
   SortByHilbertKey<2, NoAug>(&sorted, ComputeDomain<2, NoAug>(sorted), 16);
   tree.BulkLoadSorted(sorted);
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
-  EXPECT_TRUE(tree.CheckInvariants(
-      [](const NoAug&, const NoAug&) { return true; }));
-  for (int q = 0; q < 25; ++q) {
-    Rect2 range = MakeRect2(rng.Uniform(), rng.Uniform(), rng.Uniform(),
-                            rng.Uniform());
-    EXPECT_EQ(TreeRange(tree, range), BruteRange(pts, range));
-  }
+  ExpectRecords(tree, pts);
 }
 
 TEST_P(RTreeInsertTest, BulkLoadStrMatchesBruteForce) {
@@ -110,10 +152,19 @@ TEST_P(RTreeInsertTest, BulkLoadStrMatchesBruteForce) {
   SortSTR<2, NoAug>(&sorted, opts.geometry.max_entries);
   tree.BulkLoadSorted(sorted);
   EXPECT_EQ(tree.size(), static_cast<uint64_t>(n));
+  ExpectRecords(tree, pts);
+}
+
+TEST_P(RTreeInsertTest, ObjectIndexRangeMatchesBruteForce) {
+  const int n = GetParam();
+  Rng rng(n + 3);
+  const std::vector<DataObject> objects = RandomObjects(&rng, n);
+  ObjectIndex index(&objects, FanOutOptions(8));
   for (int q = 0; q < 25; ++q) {
-    Rect2 range = MakeRect2(rng.Uniform(), rng.Uniform(), rng.Uniform(),
-                            rng.Uniform());
-    EXPECT_EQ(TreeRange(tree, range), BruteRange(pts, range));
+    const Point center{rng.Uniform(), rng.Uniform()};
+    const double radius = rng.Uniform(0.0, 0.5);
+    EXPECT_EQ(IndexCircle(index, center, radius),
+              BruteCircle(objects, center, radius));
   }
 }
 
@@ -165,45 +216,46 @@ TEST(RTreeTest, DuplicatePointsAllRetrievable) {
   opts.geometry.max_entries = 4;
   Tree2 tree(opts);
   for (uint32_t i = 0; i < 50; ++i) tree.Insert(PointRect({0.5, 0.5}), i);
-  auto hits = TreeRange(tree, MakeRect2(0.5, 0.5, 0.5, 0.5));
-  EXPECT_EQ(hits.size(), 50u);
+  EXPECT_EQ(ValidatedRecords(tree).size(), 50u);
+
+  std::vector<DataObject> objects(50);
+  for (uint32_t i = 0; i < 50; ++i) objects[i] = {i, {0.5, 0.5}, ""};
+  ObjectIndex index(&objects, FanOutOptions(4));
+  EXPECT_EQ(IndexCircle(index, {0.5, 0.5}, 0.0).size(), 50u);
 }
 
 TEST(RTreeTest, BufferPoolChargedPerNodeAccess) {
   BufferPool pool(0);
-  RTreeOptions opts;
-  opts.geometry.max_entries = 8;
+  ObjectIndexOptions opts = FanOutOptions(8);
   opts.buffer_pool = &pool;
   opts.page_base = 1000;
-  Tree2 tree(opts);
   Rng rng(12);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 500);
-  tree.BulkLoadSorted(pts);
+  const std::vector<DataObject> objects = RandomObjects(&rng, 500);
+  ObjectIndex index(&objects, opts);
+  const uint32_t nodes = index.tree().node_count();
   pool.Clear();
   pool.ResetStats();
-  TreeRange(tree, MakeRect2(0, 0, 1, 1));  // touches every node once
-  EXPECT_EQ(pool.stats().reads, tree.node_count());
+  // A radius covering the unit square touches every node once.
+  EXPECT_EQ(index.RangeQuery({0.5, 0.5}, 1.0).size(), objects.size());
+  EXPECT_EQ(pool.stats().reads, nodes);
   EXPECT_EQ(pool.stats().hits, 0u);
   // A repeated scan with a warm unbounded pool is all hits.
-  TreeRange(tree, MakeRect2(0, 0, 1, 1));
-  EXPECT_EQ(pool.stats().reads, tree.node_count());
-  EXPECT_EQ(pool.stats().hits, tree.node_count());
+  (void)index.RangeQuery({0.5, 0.5}, 1.0);
+  EXPECT_EQ(pool.stats().reads, nodes);
+  EXPECT_EQ(pool.stats().hits, nodes);
 }
 
 TEST(RTreeTest, SmallRangeTouchesFewPages) {
   BufferPool pool(0);
-  RTreeOptions opts;
-  opts.geometry.max_entries = 32;
+  ObjectIndexOptions opts = FanOutOptions(32);
   opts.buffer_pool = &pool;
-  Tree2 tree(opts);
   Rng rng(13);
-  std::vector<Tree2::Entry> pts = RandomPoints(&rng, 10000);
-  SortByHilbertKey<2, NoAug>(&pts, ComputeDomain<2, NoAug>(pts), 16);
-  tree.BulkLoadSorted(pts);
+  const std::vector<DataObject> objects = RandomObjects(&rng, 10000);
+  ObjectIndex index(&objects, opts);
   pool.Clear();
   pool.ResetStats();
-  TreeRange(tree, MakeRect2(0.5, 0.5, 0.51, 0.51));
-  EXPECT_LT(pool.stats().reads, tree.node_count() / 10);
+  (void)index.RangeQuery({0.505, 0.505}, 0.005);
+  EXPECT_LT(pool.stats().reads, index.tree().node_count() / 10);
 }
 
 // Augmentation: max-value summaries must propagate through inserts/splits.
@@ -214,6 +266,27 @@ struct MaxAug {
   }
 };
 
+/// Every internal entry's value is exactly the max over its child node:
+/// no child exceeds it and some child attains it.
+bool MaxSummariesExact(const RTree<2, MaxAug>& tree) {
+  using Entry = RTree<2, MaxAug>::Entry;
+  std::map<NodeId, bool> attained;  // child node -> parent value attained
+  auto dominates = [&](const Entry& parent, const Entry& child) {
+    attained[parent.id] |= child.aug.value == parent.aug.value;
+    return child.aug.value <= parent.aug.value
+               ? Status::OK()
+               : Status::Internal("child value above its parent's");
+  };
+  auto no_entry = [](const Entry&, bool) { return Status::OK(); };
+  Status st = ValidateRTree<2, MaxAug>(tree, dominates, no_entry);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  for (const auto& [node, hit] : attained) {
+    EXPECT_TRUE(hit) << "node " << node << " summary above every child";
+    if (!hit) return false;
+  }
+  return st.ok();
+}
+
 TEST(RTreeTest, AugmentationMaintainedUnderInsert) {
   RTreeOptions opts;
   opts.geometry.max_entries = 4;  // force many splits
@@ -223,9 +296,7 @@ TEST(RTreeTest, AugmentationMaintainedUnderInsert) {
     tree.Insert(PointRect({rng.Uniform(), rng.Uniform()}), i,
                 MaxAug{rng.Uniform()});
   }
-  EXPECT_TRUE(tree.CheckInvariants([](const MaxAug& a, const MaxAug& b) {
-    return a.value == b.value;
-  }));
+  EXPECT_TRUE(MaxSummariesExact(tree));
 }
 
 TEST(RTreeTest, AugmentationMaintainedUnderBulkLoad) {
@@ -239,9 +310,7 @@ TEST(RTreeTest, AugmentationMaintainedUnderBulkLoad) {
                    MaxAug{rng.Uniform()}});
   }
   tree.BulkLoadSorted(pts);
-  EXPECT_TRUE(tree.CheckInvariants([](const MaxAug& a, const MaxAug& b) {
-    return a.value == b.value;
-  }));
+  EXPECT_TRUE(MaxSummariesExact(tree));
 }
 
 TEST(RTreeTest, FourDimensionalTree) {
@@ -249,23 +318,14 @@ TEST(RTreeTest, FourDimensionalTree) {
   opts.geometry.max_entries = 8;
   RTree<4> tree(opts);
   Rng rng(16);
-  std::vector<std::array<double, 4>> pts;
+  std::vector<RTree<4>::Entry> pts;
   for (uint32_t i = 0; i < 400; ++i) {
     std::array<double, 4> p{rng.Uniform(), rng.Uniform(), rng.Uniform(),
                             rng.Uniform()};
-    pts.push_back(p);
-    tree.Insert(Rect4::FromPoint(p), i);
+    pts.push_back({Rect4::FromPoint(p), i, {}});
+    tree.Insert(pts.back().rect, i);
   }
-  Rect4 range{{0.2, 0.2, 0.2, 0.2}, {0.7, 0.7, 0.7, 0.7}};
-  std::set<uint32_t> got;
-  tree.ForEachInRange(range, [&](uint32_t id, const Rect4&) {
-    got.insert(id);
-  });
-  std::set<uint32_t> expect;
-  for (uint32_t i = 0; i < pts.size(); ++i) {
-    if (range.Contains(pts[i])) expect.insert(i);
-  }
-  EXPECT_EQ(got, expect);
+  ExpectRecords(tree, pts);
 }
 
 TEST(FanOutTest, DerivedFromPageSize) {

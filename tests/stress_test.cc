@@ -19,6 +19,18 @@ std::vector<const FeatureTable*> TablePtrs(const Dataset& ds) {
   return out;
 }
 
+/// The batch summary of `queries` run on one runner thread, with page
+/// reads priced at `io_unit_cost_ms`.
+WorkloadSummary RunBatch(const Engine& engine,
+                         const std::vector<Query>& queries,
+                         double io_unit_cost_ms) {
+  ParallelWorkloadOptions opts;
+  opts.algorithm = Algorithm::kStps;
+  opts.threads = 1;
+  opts.io_unit_cost_ms = io_unit_cost_ms;
+  return ParallelWorkloadRunner(&engine).Run(queries, opts).TakeValue().summary;
+}
+
 TEST(WorkloadTest, SummarizesCosts) {
   SyntheticConfig cfg;
   cfg.num_objects = 500;
@@ -31,7 +43,7 @@ TEST(WorkloadTest, SummarizesCosts) {
   qcfg.count = 10;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  WorkloadSummary s = RunWorkload(engine, queries, Algorithm::kStps, 0.1).TakeValue();
+  WorkloadSummary s = RunBatch(engine, queries, 0.1);
   EXPECT_EQ(s.queries, 10u);
   EXPECT_GT(s.total_ms.mean, 0.0);
   EXPECT_LE(s.total_ms.p50, s.total_ms.p95);
@@ -49,7 +61,7 @@ TEST(WorkloadTest, EmptyWorkload) {
   cfg.num_feature_sets = 1;
   Dataset ds = GenerateSynthetic(cfg);
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  WorkloadSummary s = RunWorkload(engine, {}, Algorithm::kStps, 0.1).TakeValue();
+  WorkloadSummary s = RunBatch(engine, {}, 0.1);
   EXPECT_EQ(s.queries, 0u);
   EXPECT_EQ(s.total_ms.mean, 0.0);
 }
@@ -64,8 +76,8 @@ TEST(WorkloadTest, IoCostScalesLinearly) {
   qcfg.count = 3;
   std::vector<Query> queries = GenerateQueries(ds, qcfg);
   Engine engine = Engine::Build(ds.objects, std::move(ds.feature_tables), {}).TakeValue();
-  WorkloadSummary cheap = RunWorkload(engine, queries, Algorithm::kStps, 0.1).TakeValue();
-  WorkloadSummary costly = RunWorkload(engine, queries, Algorithm::kStps, 1.0).TakeValue();
+  WorkloadSummary cheap = RunBatch(engine, queries, 0.1);
+  WorkloadSummary costly = RunBatch(engine, queries, 1.0);
   EXPECT_NEAR(costly.io_ms.mean, 10.0 * cheap.io_ms.mean, 1e-6);
 }
 

@@ -8,9 +8,9 @@
 //              versioned .stpqx index file (Engine::Save)
 //   load       print the superblock + segment catalog of a .stpqx file
 //   query      run one query and print the top-k
-//   bench      run a generated query batch sequentially
+//   bench      run a generated query batch on one thread
 //   workload   parallel throughput sweep over thread counts
-//   profile    sequential run with phase breakdown + latency histogram
+//   profile    one-thread run with phase breakdown + latency histogram
 //   trace      run with the tracer armed and export Chrome trace JSON
 //   validate   run the deep structural validators over every index
 //
@@ -20,24 +20,32 @@
 // index when building; a reopened file always uses the kind it was built
 // with.
 //
-// Flags accept both "--flag value" and "--flag=value".
+// Each command declares its flags in one table (name, value kind,
+// default, help line) that both parsing and --help read.  Flags accept
+// "--flag value" and "--flag=value"; an unknown flag, a value that does
+// not parse, or a value outside its set is a usage error (exit 2).
 // Keyword syntax: per-feature-set lists separated by ';', terms by ','.
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/engine.h"
-#include "debug/validate.h"
 #include "core/explain.h"
 #include "core/score.h"
 #include "core/workload.h"
+#include "debug/validate.h"
 #include "gen/queries.h"
 #include "gen/real_like.h"
 #include "gen/synthetic.h"
@@ -56,55 +64,269 @@ using namespace stpq;
 
 namespace {
 
-/// Minimal --flag value parser; positional[0] is the subcommand.
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
+// ------------------------------------------------------------ flag tables
 
-  std::string Get(const std::string& key, const std::string& def = "") const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : it->second;
-  }
-  double GetDouble(const std::string& key, double def) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? def : std::atof(it->second.c_str());
-  }
-  uint32_t GetUint(const std::string& key, uint32_t def) const {
-    auto it = flags.find(key);
-    return it == flags.end()
-               ? def
-               : static_cast<uint32_t>(std::atoi(it->second.c_str()));
-  }
-  bool Has(const std::string& key) const { return flags.count(key) > 0; }
+enum class FlagKind { kString, kUint, kPort, kDouble, kBool, kChoice };
+
+/// One row of a command's flag table: what Parse accepts and --help prints.
+struct Flag {
+  const char* name;
+  FlagKind kind;
+  /// --help placeholder for the value; for kChoice, the '|'-separated set
+  /// of accepted values.  Unused for kBool.
+  const char* value;
+  /// Default as text; nullptr when the flag has none (it is optional, or
+  /// required and checked by the command).
+  const char* def;
+  const char* help;
 };
 
-Args Parse(int argc, char** argv) {
-  Args a;
-  if (argc > 1) a.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
-    std::string key = arg.substr(2);
-    size_t eq = key.find('=');
-    if (eq != std::string::npos) {
-      a.flags.insert_or_assign(key.substr(0, eq), key.substr(eq + 1));
-      continue;
-    }
-    if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-      a.flags.insert_or_assign(key, std::string(argv[++i]));
-    } else {
-      a.flags.insert_or_assign(key, std::string("1"));  // boolean flag
-    }
+using FlagTable = std::vector<Flag>;
+
+FlagTable Join(std::initializer_list<FlagTable> parts) {
+  FlagTable out;
+  for (const FlagTable& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
   }
-  return a;
+  return out;
 }
 
-/// One subcommand: name, one-line summary for the top-level usage, flag
-/// details for `stpq_cli <name> --help`, and the handler.
+const Flag* FindFlag(const FlagTable& table, const std::string& name) {
+  for (const Flag& f : table) {
+    if (name == f.name) return &f;
+  }
+  return nullptr;
+}
+
+bool InChoiceSet(const std::string& choices, const std::string& value) {
+  for (size_t start = 0;;) {
+    const size_t bar = choices.find('|', start);
+    if (choices.compare(start, bar - start, value) == 0) return true;
+    if (bar == std::string::npos) return false;
+    start = bar + 1;
+  }
+}
+
+/// Checks `value` against the flag's kind; bool values are normalized to
+/// "1"/"0".  Returns false with `*error` set when it does not parse.
+bool CheckValue(const Flag& flag, std::string* value, std::string* error) {
+  const std::string quoted = "'" + *value + "'";
+  switch (flag.kind) {
+    case FlagKind::kString:
+      return true;
+    case FlagKind::kUint:
+    case FlagKind::kPort: {
+      const bool digits = !value->empty() &&
+          value->find_first_not_of("0123456789") == std::string::npos;
+      const unsigned long long max =
+          flag.kind == FlagKind::kPort ? 65535 : UINT32_MAX;
+      errno = 0;
+      const unsigned long long v =
+          digits ? std::strtoull(value->c_str(), nullptr, 10) : 0;
+      if (!digits || errno == ERANGE || v > max) {
+        *error = "expects an integer in [0, " + std::to_string(max) +
+                 "], got " + quoted;
+        return false;
+      }
+      return true;
+    }
+    case FlagKind::kDouble: {
+      char* end = nullptr;
+      const double v = std::strtod(value->c_str(), &end);
+      if (value->empty() || *end != '\0' || !std::isfinite(v)) {
+        *error = "expects a number, got " + quoted;
+        return false;
+      }
+      return true;
+    }
+    case FlagKind::kBool:
+      if (*value == "1" || *value == "true") {
+        *value = "1";
+      } else if (*value == "0" || *value == "false") {
+        *value = "0";
+      } else {
+        *error = "expects true|false|1|0, got " + quoted;
+        return false;
+      }
+      return true;
+    case FlagKind::kChoice:
+      if (!InChoiceSet(flag.value, *value)) {
+        *error = "expects one of " + std::string(flag.value) + ", got " +
+                 quoted;
+        return false;
+      }
+      return true;
+  }
+  return false;
+}
+
+/// The parsed flags of one command invocation.  Every read names a flag
+/// of the command's table; an unset flag reads as its default.
+class Args {
+ public:
+  Args(const FlagTable* table, std::map<std::string, std::string> given)
+      : table_(table), given_(std::move(given)) {}
+
+  /// Whether the table has the flag at all.
+  bool Declares(const std::string& name) const {
+    return FindFlag(*table_, name) != nullptr;
+  }
+  /// Whether the flag was given on the command line.
+  bool Has(const std::string& name) const {
+    Find(name);
+    return given_.count(name) > 0;
+  }
+  std::string Get(const std::string& name) const {
+    const Flag& flag = Find(name);
+    auto it = given_.find(name);
+    if (it != given_.end()) return it->second;
+    return flag.def != nullptr ? flag.def : "";
+  }
+  uint32_t Uint(const std::string& name) const {
+    return static_cast<uint32_t>(
+        std::strtoul(Get(name).c_str(), nullptr, 10));
+  }
+  double Double(const std::string& name) const {
+    return std::strtod(Get(name).c_str(), nullptr);
+  }
+  bool Bool(const std::string& name) const { return Get(name) == "1"; }
+
+ private:
+  const Flag& Find(const std::string& name) const {
+    const Flag* flag = FindFlag(*table_, name);
+    STPQ_CHECK(flag != nullptr && "a command read a flag its table lacks");
+    return *flag;
+  }
+
+  const FlagTable* table_;
+  std::map<std::string, std::string> given_;
+};
+
+/// Parses argv[2..] against `table`.  Returns false with `*error` set on
+/// an unknown flag, a missing or malformed value, or a stray argument.
+bool Parse(const FlagTable& table, int argc, char** argv,
+           std::map<std::string, std::string>* given, std::string* error) {
+  for (int i = 2; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind("--", 0) != 0) {
+      *error = "unexpected argument '" + arg + "'";
+      return false;
+    }
+    const size_t eq = arg.find('=');
+    const std::string name = arg.substr(2, eq == std::string::npos
+                                               ? std::string::npos
+                                               : eq - 2);
+    const Flag* flag = FindFlag(table, name);
+    if (flag == nullptr) {
+      *error = "unknown flag --" + name;
+      return false;
+    }
+    std::string value;
+    if (eq != std::string::npos) {
+      value = arg.substr(eq + 1);
+    } else if (flag->kind == FlagKind::kBool) {
+      value = "1";
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      value = argv[++i];
+    } else {
+      *error = "flag --" + name + " needs a value";
+      return false;
+    }
+    std::string why;
+    if (!CheckValue(*flag, &value, &why)) {
+      *error = "flag --" + name + " " + why;
+      return false;
+    }
+    given->insert_or_assign(name, std::move(value));
+  }
+  return true;
+}
+
+void PrintFlagHelp(const FlagTable& table) {
+  for (const Flag& f : table) {
+    std::string lhs = std::string("--") + f.name;
+    if (f.kind != FlagKind::kBool) lhs += std::string(" ") + f.value;
+    std::printf("  %-26s %s", lhs.c_str(), f.help);
+    if (f.def != nullptr) std::printf(" (default %s)", f.def);
+    std::printf("\n");
+  }
+}
+
+// Flag groups shared by several commands.
+
+static_assert(kDefaultPageSizeBytes == 4096, "update the --page-size default");
+
+/// How a query-running command gets its engine (MakeEngine): where from...
+const FlagTable kSourceFlags = {
+    {"data", FlagKind::kString, "FILE", nullptr,
+     "dataset to index in memory (simulated storage)"},
+    {"index", FlagKind::kString, "FILE", nullptr,
+     "prebuilt .stpqx index file to reopen instead"},
+};
+
+/// ...and how it is built (MakeEngineOptions; build reads these too).
+const FlagTable kBuildFlags = {
+    {"kind", FlagKind::kChoice, "srt|ir2", "srt",
+     "feature index to build (a reopened file records its own)"},
+    {"page-size", FlagKind::kUint, "N", "4096",
+     "page size in bytes when building"},
+    {"pool", FlagKind::kUint, "N", "0",
+     "buffer-pool capacity in pages (0 = unbounded)"},
+    {"fill", FlagKind::kDouble, "F", "1", "bulk-load fill factor in (0, 1]"},
+    {"signature-bits", FlagKind::kUint, "N", "0",
+     "IR2 signature width in bits (0 = 2x the keyword universe)"},
+    {"signature-hashes", FlagKind::kUint, "N", "3",
+     "IR2 signature bits set per keyword"},
+};
+
+const FlagTable kEngineFlags = Join({kSourceFlags, kBuildFlags});
+
+/// The query shape and algorithm (QueryRun).
+const FlagTable kQueryFlags = {
+    {"k", FlagKind::kUint, "N", "10", "results per query"},
+    {"r", FlagKind::kDouble, "R", "0.01",
+     "radius in the normalized [0,1] space"},
+    {"lambda", FlagKind::kDouble, "L", "0.5",
+     "smoothing between feature score and textual similarity"},
+    {"variant", FlagKind::kChoice, "range|influence|nn", "range",
+     "score variant"},
+    {"algo", FlagKind::kChoice, "stps|stds", "stps", "query algorithm"},
+};
+
+/// A generated batch of `queries` queries run through the workload runner.
+FlagTable BatchFlags(const char* queries) {
+  return {{"queries", FlagKind::kUint, "N", queries, "queries in the batch"},
+          {"io-ms", FlagKind::kDouble, "MS", "0.1",
+           "modelled cost of one page read (reported apart from measured "
+           "time)"}};
+}
+
+/// The live-introspection plane (StartAdmin, AdminLinger).
+const FlagTable kAdminFlags = {
+    {"serve-admin", FlagKind::kPort, "PORT", nullptr,
+     "serve /metrics /healthz /statusz /slowz /tracez /varz on "
+     "127.0.0.1:PORT while the run executes (0 = ephemeral; the bound port "
+     "is printed)"},
+    {"metrics-interval", FlagKind::kUint, "MS", "250",
+     "sample interval deltas every MS ms (/varz); armed automatically when "
+     "serving"},
+    {"linger-ms", FlagKind::kUint, "MS", "0",
+     "keep the admin server up MS ms after the run"},
+};
+
+const Flag kSlowLogFlag = {"slow-ms", FlagKind::kDouble, "T", nullptr,
+                           "retain queries at or above T ms (/slowz)"};
+const Flag kMetricsFlag = {"metrics", FlagKind::kString, "FILE", nullptr,
+                           "write Prometheus text exposition"};
+const Flag kTraceOutFlag = {"trace-out", FlagKind::kString, "FILE", nullptr,
+                            "write Chrome trace JSON"};
+
+/// One subcommand: name, one-line summary for the top-level usage, its
+/// flag table, and the handler.
 struct CommandSpec {
   const char* name;
   const char* summary;
-  const char* help;
+  FlagTable flags;
   int (*run)(const Args&);
 };
 
@@ -120,15 +342,7 @@ int Usage() {
   return 2;
 }
 
-/// Flags shared by every command that answers queries; individual help
-/// strings append their command-specific flags to this.
-#define STPQ_CLI_ENGINE_FLAGS                                               \
-  "  --data FILE       dataset to index in memory (simulated storage)\n"    \
-  "  --index FILE      prebuilt .stpqx index file to reopen instead\n"      \
-  "  --kind srt|ir2    feature index to build (default srt; ignored when\n" \
-  "                    reopening: the file records its kind)\n"             \
-  "  --page-size N     simulated page size in bytes when building\n"        \
-  "  --pool N          buffer-pool capacity in pages (0 = unbounded)\n"
+// ------------------------------------------------------------- prologues
 
 Result<Dataset> LoadData(const Args& args) {
   std::string path = args.Get("data");
@@ -138,20 +352,19 @@ Result<Dataset> LoadData(const Args& args) {
   return ReadDatasetBinary(path);
 }
 
+FeatureIndexKind IndexKind(const Args& args) {
+  return args.Get("kind") == "ir2" ? FeatureIndexKind::kIr2
+                                   : FeatureIndexKind::kSrt;
+}
+
 EngineOptions MakeEngineOptions(const Args& args) {
   EngineOptions opts;
-  if (args.Get("kind", "srt") == "ir2") {
-    opts.index_kind = FeatureIndexKind::kIr2;
-  }
-  opts.storage.page_size = args.GetUint("page-size", kDefaultPageSizeBytes);
-  opts.storage.pool_capacity = args.GetUint("pool", 0);
-  opts.fill = args.GetDouble("fill", 1.0);
-  if (args.Has("signature-bits")) {
-    opts.signature_bits = args.GetUint("signature-bits", 0);
-  }
-  if (args.Has("signature-hashes")) {
-    opts.signature_hashes = args.GetUint("signature-hashes", 3);
-  }
+  opts.index_kind = IndexKind(args);
+  opts.storage.page_size = args.Uint("page-size");
+  opts.storage.pool_capacity = args.Uint("pool");
+  opts.fill = args.Double("fill");
+  opts.signature_bits = args.Uint("signature-bits");
+  opts.signature_hashes = args.Uint("signature-hashes");
   return opts;
 }
 
@@ -187,13 +400,73 @@ Result<Engine> MakeEngine(const Args& args, Dataset* ds) {
                        MakeEngineOptions(args));
 }
 
+/// What a query-running command sets up before its first query: the
+/// engine with its dataset view, the query shape and the algorithm, and
+/// — for a command with --queries — the generated batch.
+struct QueryRun {
+  Dataset ds;
+  Engine engine;
+  QueryWorkloadConfig shape;
+  Algorithm algo;
+  std::vector<Query> queries;
+
+  const char* AlgoName() const {
+    return algo == Algorithm::kStds ? "STDS" : "STPS";
+  }
+};
+
+/// Builds the QueryRun from the command's flags; prints the error and
+/// returns nullopt when the engine cannot be made.
+std::optional<QueryRun> PrepareRun(const Args& args) {
+  Dataset ds;
+  Result<Engine> engine = MakeEngine(args, &ds);
+  if (!engine.ok()) {
+    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
+    return std::nullopt;
+  }
+  QueryWorkloadConfig shape;
+  shape.k = args.Uint("k");
+  shape.radius = args.Double("r");
+  shape.lambda = args.Double("lambda");
+  for (ScoreVariant v : {ScoreVariant::kRange, ScoreVariant::kInfluence,
+                         ScoreVariant::kNearestNeighbor}) {
+    if (args.Get("variant") == VariantName(v)) shape.variant = v;
+  }
+  const Algorithm algo =
+      args.Get("algo") == "stds" ? Algorithm::kStds : Algorithm::kStps;
+  std::vector<Query> queries;
+  if (args.Declares("queries")) {
+    shape.count = args.Uint("queries");
+    queries = GenerateQueries(ds, shape);
+  }
+  return QueryRun{std::move(ds), engine.TakeValue(), shape, algo,
+                  std::move(queries)};
+}
+
+/// Runner options for a batch command: the run's algorithm, --io-ms, and
+/// `threads` workers.
+ParallelWorkloadOptions BatchOptions(const QueryRun& run, const Args& args,
+                                     size_t threads, SlowQueryLog* slow_log) {
+  ParallelWorkloadOptions opts;
+  opts.algorithm = run.algo;
+  opts.threads = threads;
+  opts.io_unit_cost_ms = args.Double("io-ms");
+  opts.slow_log = slow_log;
+  return opts;
+}
+
+// -------------------------------------------------------------- commands
+
 int Generate(const Args& args) {
   std::string out = args.Get("out");
-  if (out.empty()) return Usage();
-  double scale = args.GetDouble("scale", 0.1);
-  uint64_t seed = args.GetUint("seed", 42);
+  if (out.empty()) {
+    std::fprintf(stderr, "error: --out FILE is required\n");
+    return 2;
+  }
+  double scale = args.Double("scale");
+  uint64_t seed = args.Uint("seed");
   Dataset ds;
-  if (args.Get("kind", "synthetic") == "real") {
+  if (args.Get("kind") == "real") {
     RealLikeConfig cfg;
     cfg.scale = scale;
     cfg.seed = seed;
@@ -285,41 +558,32 @@ bool ParseKeywords(const std::string& spec, const Dataset& ds, Query* query) {
 }
 
 int RunQuery(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine_r = MakeEngine(args, &ds);
-  if (!engine_r.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine_r.status().ToString().c_str());
-    return 1;
-  }
-  Engine engine = engine_r.TakeValue();
+  std::optional<QueryRun> run = PrepareRun(args);
+  if (!run) return 1;
+  const Engine& engine = run->engine;
   Query query;
-  query.k = args.GetUint("k", 10);
-  query.radius = args.GetDouble("r", 0.01);
-  query.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") query.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") query.variant = ScoreVariant::kNearestNeighbor;
-  if (!ParseKeywords(args.Get("keywords"), ds, &query)) return 1;
+  query.k = run->shape.k;
+  query.radius = run->shape.radius;
+  query.lambda = run->shape.lambda;
+  query.variant = run->shape.variant;
+  if (!ParseKeywords(args.Get("keywords"), run->ds, &query)) return 1;
 
-  const std::vector<DataObject>& objects = ds.objects;  // names for printing
-  Algorithm algo =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
-  Result<QueryResult> executed = engine.Execute(query, algo);
+  const std::vector<DataObject>& objects = run->ds.objects;  // names
+  Result<QueryResult> executed = engine.Execute(query, run->algo);
   if (!executed.ok()) {
     std::fprintf(stderr, "error: %s\n", executed.status().ToString().c_str());
     return 1;
   }
   QueryResult result = executed.TakeValue();
-  std::printf("top-%u (%s, %s, %s index):\n", query.k, VariantName(
-                  query.variant),
-              algo == Algorithm::kStds ? "STDS" : "STPS",
+  std::printf("top-%u (%s, %s, %s index):\n", query.k,
+              VariantName(query.variant), run->AlgoName(),
               engine.IndexName());
   for (size_t rank = 0; rank < result.entries.size(); ++rank) {
     const ResultEntry& e = result.entries[rank];
     const std::string& name = objects[e.object].name;
     std::printf("%3zu. #%-8u %-20s tau = %.5f\n", rank + 1, e.object,
                 name.empty() ? "(unnamed)" : name.c_str(), e.score);
-    if (args.Has("explain")) {
+    if (args.Bool("explain")) {
       Explanation why = ExplainScore(&engine, query, e.object);
       for (const Contribution& c : why.contributions) {
         if (!c.has_feature) {
@@ -340,15 +604,6 @@ int RunQuery(const Args& args) {
               static_cast<unsigned long long>(result.stats.TotalReads()));
   return 0;
 }
-
-/// Live-introspection flags shared by the long-running commands; the
-/// individual help strings append this to STPQ_CLI_ENGINE_FLAGS.
-#define STPQ_CLI_ADMIN_FLAGS                                                  \
-  "  --serve-admin PORT  serve /metrics /healthz /statusz /slowz /tracez\n"   \
-  "                    /varz on 127.0.0.1:PORT while the run executes\n"      \
-  "                    (0 = ephemeral; the bound port is printed)\n"          \
-  "  --metrics-interval MS  sample interval deltas every MS ms (/varz;\n"     \
-  "                    armed at 250 ms automatically when serving)\n"
 
 /// The optional live-introspection plane behind --serve-admin /
 /// --metrics-interval / --slow-ms (DESIGN.md §18): a background metrics
@@ -401,18 +656,17 @@ bool StartAdmin(const Args& args, const Engine* engine,
   const bool serve = args.Has("serve-admin");
   if (serve || args.Has("metrics-interval")) {
     MetricsRecorderOptions ropts;
-    ropts.interval_ms = args.GetUint("metrics-interval", 250);
+    ropts.interval_ms = args.Uint("metrics-interval");
     if (ropts.interval_ms == 0) ropts.interval_ms = 250;
     scope->recorder = std::make_unique<MetricsRecorder>(ropts);
     scope->recorder->Start();
   }
   if (external_slow_log == nullptr && args.Has("slow-ms")) {
-    scope->slow_log =
-        std::make_unique<SlowQueryLog>(args.GetDouble("slow-ms", 0.0));
+    scope->slow_log = std::make_unique<SlowQueryLog>(args.Double("slow-ms"));
   }
   if (!serve) return true;
   AdminServerOptions sopts;
-  sopts.port = static_cast<uint16_t>(args.GetUint("serve-admin", 0));
+  sopts.port = static_cast<uint16_t>(args.Uint("serve-admin"));
   sopts.recorder = scope->recorder.get();
   sopts.slow_log =
       external_slow_log != nullptr ? external_slow_log : scope->slow_log.get();
@@ -434,7 +688,7 @@ bool StartAdmin(const Args& args, const Engine* engine,
 /// Keeps the admin server scrapeable for --linger-ms after the run so
 /// out-of-process drivers can fetch the final state.
 void AdminLinger(const Args& args, const AdminScope& scope) {
-  const uint32_t linger_ms = args.GetUint("linger-ms", 0);
+  const uint32_t linger_ms = args.Uint("linger-ms");
   if (linger_ms == 0 || scope.server == nullptr) return;
   std::printf("admin: lingering %u ms\n", linger_ms);
   std::fflush(stdout);
@@ -465,33 +719,18 @@ void PrintIntervalTable(const MetricsRecorder& recorder) {
 }
 
 int Bench(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine_r = MakeEngine(args, &ds);
-  if (!engine_r.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine_r.status().ToString().c_str());
-    return 1;
-  }
-  Engine engine = engine_r.TakeValue();
-  QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 50);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  Algorithm algo =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
+  std::optional<QueryRun> run = PrepareRun(args);
+  if (!run) return 1;
   AdminScope admin;
-  if (!StartAdmin(args, &engine, nullptr, &admin)) return 1;
-  Result<WorkloadSummary> s =
-      RunWorkload(engine, queries, algo, args.GetDouble("io-ms", 0.1));
-  if (!s.ok()) {
-    std::fprintf(stderr, "error: %s\n", s.status().ToString().c_str());
+  if (!StartAdmin(args, &run->engine, nullptr, &admin)) return 1;
+  Result<ParallelWorkloadReport> report =
+      ParallelWorkloadRunner(&run->engine)
+          .Run(run->queries, BatchOptions(*run, args, 1, admin.slow_log.get()));
+  if (!report.ok()) {
+    std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
     return 1;
   }
-  std::printf("%s\n", s.value().ToString().c_str());
+  std::printf("%s\n", report.value().summary.ToString().c_str());
   AdminLinger(args, admin);
   return 0;
 }
@@ -550,50 +789,28 @@ std::vector<size_t> ParseThreadList(const std::string& spec) {
 /// Runs one generated query batch through ParallelWorkloadRunner for each
 /// requested thread count and prints a throughput row per count.
 int Workload(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine = MakeEngine(args, &ds);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-  QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 200);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-
-  std::vector<size_t> thread_counts = ParseThreadList(args.Get("threads", "1"));
+  std::vector<size_t> thread_counts = ParseThreadList(args.Get("threads"));
   if (thread_counts.empty()) {
     std::fprintf(stderr, "error: --threads expects N or N,N,... (got '%s')\n",
-                 args.Get("threads", "1").c_str());
-    return 1;
+                 args.Get("threads").c_str());
+    return 2;
   }
-
-  ParallelWorkloadRunner runner(&engine.value());
-
-  ParallelWorkloadOptions opts;
-  opts.algorithm =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
-  opts.io_unit_cost_ms = args.GetDouble("io-ms", 0.1);
+  std::optional<QueryRun> run = PrepareRun(args);
+  if (!run) return 1;
+  ParallelWorkloadRunner runner(&run->engine);
 
   AdminScope admin;
-  if (!StartAdmin(args, &engine.value(), nullptr, &admin)) return 1;
-  opts.slow_log = admin.slow_log.get();
+  if (!StartAdmin(args, &run->engine, nullptr, &admin)) return 1;
 
   if (args.Has("trace-out")) Tracer::Global().Start();
 
-  std::printf("%zu queries, %s, %s index\n", queries.size(),
-              opts.algorithm == Algorithm::kStds ? "STDS" : "STPS",
-              engine.value().IndexName());
+  std::printf("%zu queries, %s, %s index\n", run->queries.size(),
+              run->AlgoName(), run->engine.IndexName());
   std::printf("%8s %12s %12s %14s %10s %10s %10s\n", "threads", "wall_ms",
               "queries/s", "reads/query", "p50_ms", "p95_ms", "p99_ms");
   for (size_t threads : thread_counts) {
-    opts.threads = threads;
-    Result<ParallelWorkloadReport> report = runner.Run(queries, opts);
+    Result<ParallelWorkloadReport> report = runner.Run(
+        run->queries, BatchOptions(*run, args, threads, admin.slow_log.get()));
     if (!report.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    report.status().ToString().c_str());
@@ -620,69 +837,46 @@ int Workload(const Args& args) {
   return 0;
 }
 
-/// Executes a generated workload sequentially and prints the per-phase
-/// wall-time breakdown plus the latency distribution (DESIGN.md §12).
+/// Runs a generated workload on one thread and prints the measured
+/// latency distribution, the modelled I/O apart from it, and the
+/// per-phase breakdown of the measured time (DESIGN.md §12).
 int Profile(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine = MakeEngine(args, &ds);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-  QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 100);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
-  const double io_ms = args.GetDouble("io-ms", 0.1);
-  Algorithm algo =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
-
+  std::optional<QueryRun> run = PrepareRun(args);
+  if (!run) return 1;
   AdminScope admin;
-  if (!StartAdmin(args, &engine.value(), nullptr, &admin)) return 1;
+  if (!StartAdmin(args, &run->engine, nullptr, &admin)) return 1;
 
   if (args.Has("trace-out")) Tracer::Global().Start();
-
-  QueryStats aggregate;
-  LatencyHistogram latency;
-  ExecuteOptions exec;
-  exec.algorithm = algo;
-  exec.slow_log = admin.slow_log.get();
-  for (const Query& q : queries) {
-    Result<QueryResult> r = engine.value().Execute(q, exec);
-    if (!r.ok()) {
-      std::fprintf(stderr, "error: %s\n", r.status().ToString().c_str());
-      return 1;
-    }
-    const QueryStats& stats = r.value().stats;
-    aggregate += stats;
-    latency.Record(stats.cpu_ms + stats.IoMillis(io_ms));
+  const ParallelWorkloadOptions opts =
+      BatchOptions(*run, args, 1, admin.slow_log.get());
+  Result<ParallelWorkloadReport> report =
+      ParallelWorkloadRunner(&run->engine).Run(run->queries, opts);
+  if (!report.ok()) {
+    std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
+    return 1;
   }
+  const ParallelWorkloadReport& r = report.value();
+  const QueryStats& aggregate = r.summary.aggregate;
 
   std::printf("profile: %zu queries, %s, %s index, variant=%s\n",
-              queries.size(), algo == Algorithm::kStds ? "STDS" : "STPS",
-              engine.value().IndexName(), variant.c_str());
-  std::printf("latency (cpu + %.3f ms/read): %s mean=%.3fms\n", io_ms,
-              latency.SummaryString().c_str(), latency.mean_ms());
+              run->queries.size(), run->AlgoName(), run->engine.IndexName(),
+              VariantName(run->shape.variant));
+  std::printf("latency (measured): %s mean=%.3fms\n",
+              r.latency.SummaryString().c_str(), r.latency.mean_ms());
+  std::printf("modelled I/O (%.3f ms/read): mean=%.3fms, %.1f reads/query\n",
+              opts.io_unit_cost_ms, r.summary.io_ms.mean,
+              r.summary.mean_page_reads);
 
-  // Phase breakdown: traced self-times, the derived I/O phase (page reads
-  // priced at io-ms, never timed), and the untraced remainder.
-  const double io_total = aggregate.IoMillis(io_ms);
-  const double grand_total = aggregate.cpu_ms + io_total;
+  // Phase breakdown of the measured time: traced self-times and the
+  // untraced remainder.
   auto row = [&](const char* name, double ms) {
     std::printf("  %-18s %12.3f ms %6.1f%%\n", name, ms,
-                grand_total > 0.0 ? 100.0 * ms / grand_total : 0.0);
+                aggregate.cpu_ms > 0.0 ? 100.0 * ms / aggregate.cpu_ms : 0.0);
   };
   std::printf("phase breakdown (self time over the whole workload):\n");
   for (size_t i = 0; i < kNumQueryPhases; ++i) {
-    row(QueryPhaseName(static_cast<QueryPhase>(i)),
-        aggregate.phase_ms[i]);
+    row(QueryPhaseName(static_cast<QueryPhase>(i)), aggregate.phase_ms[i]);
   }
-  row("io (derived)", io_total);
   row("other", aggregate.UntracedMillis());
   std::printf("counters: %s\n", aggregate.ToString().c_str());
 
@@ -703,41 +897,25 @@ int Profile(const Args& args) {
 /// threshold are captured (slow-query mode); without it the full event
 /// stream of the run is exported.
 int Trace(const Args& args) {
-  Dataset ds;
-  Result<Engine> engine = MakeEngine(args, &ds);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "error: %s\n", engine.status().ToString().c_str());
-    return 1;
-  }
-  QueryWorkloadConfig qcfg;
-  qcfg.count = args.GetUint("queries", 100);
-  qcfg.k = args.GetUint("k", 10);
-  qcfg.radius = args.GetDouble("r", 0.01);
-  qcfg.lambda = args.GetDouble("lambda", 0.5);
-  std::string variant = args.Get("variant", "range");
-  if (variant == "influence") qcfg.variant = ScoreVariant::kInfluence;
-  if (variant == "nn") qcfg.variant = ScoreVariant::kNearestNeighbor;
-  std::vector<Query> queries = GenerateQueries(ds, qcfg);
+  std::optional<QueryRun> run = PrepareRun(args);
+  if (!run) return 1;
 
-  const std::string out_path = args.Get("trace-out", "trace.json");
+  const std::string out_path = args.Get("trace-out");
   const bool slow_mode = args.Has("slow-ms");
-  SlowQueryLog slow_log(args.GetDouble("slow-ms", 0.0));
+  SlowQueryLog slow_log(args.Double("slow-ms"));
 
   AdminScope admin;
-  if (!StartAdmin(args, &engine.value(), slow_mode ? &slow_log : nullptr,
+  if (!StartAdmin(args, &run->engine, slow_mode ? &slow_log : nullptr,
                   &admin)) {
     return 1;
   }
 
   Tracer::Global().Start();
-  ParallelWorkloadRunner runner(&engine.value());
-  ParallelWorkloadOptions opts;
-  opts.algorithm =
-      args.Get("algo", "stps") == "stds" ? Algorithm::kStds : Algorithm::kStps;
-  opts.threads = args.GetUint("threads", 1);
-  opts.io_unit_cost_ms = args.GetDouble("io-ms", 0.1);
-  if (slow_mode) opts.slow_log = &slow_log;
-  Result<ParallelWorkloadReport> report = runner.Run(queries, opts);
+  Result<ParallelWorkloadReport> report =
+      ParallelWorkloadRunner(&run->engine)
+          .Run(run->queries,
+               BatchOptions(*run, args, args.Uint("threads"),
+                            slow_mode ? &slow_log : nullptr));
   Tracer::Global().Stop();
   if (!report.ok()) {
     std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
@@ -777,12 +955,6 @@ int Validate(const Args& args) {
     return 1;
   }
   Engine engine = engine_r.TakeValue();
-  std::vector<std::vector<KeywordSet>> corpora(ds.feature_tables.size());
-  for (size_t i = 0; i < ds.feature_tables.size(); ++i) {
-    for (const FeatureObject& f : ds.feature_tables[i].All()) {
-      corpora[i].push_back(f.keywords);
-    }
-  }
 
   int failures = 0;
   auto report = [&failures](const char* what, const Status& st) {
@@ -805,10 +977,6 @@ int Validate(const Args& args) {
     } else {
       std::printf("%-24s skipped (unknown index type)\n", label.c_str());
     }
-    InvertedIndex inv = InvertedIndex::Build(
-        engine.feature_table(i).universe_size(), corpora[i]);
-    report(("inverted index " + std::to_string(i)).c_str(),
-           ValidateInvertedIndex(inv, corpora[i]));
   }
   if (failures == 0) {
     std::printf("all structures sound\n");
@@ -824,7 +992,7 @@ int BuildIndex(const Args& args) {
     std::fprintf(stderr, "error: --index FILE (output path) is required\n");
     return 1;
   }
-  if (args.Has("external")) {
+  if (args.Bool("external")) {
     // External build: stream the dataset straight into the .stpqx file in
     // bounded memory; the dataset is never materialized.
     const std::string data_path = args.Get("data");
@@ -832,21 +1000,14 @@ int BuildIndex(const Args& args) {
       std::fprintf(stderr, "error: --data FILE is required\n");
       return 1;
     }
+    const EngineOptions engine_opts = MakeEngineOptions(args);
     ExternalBuildOptions opts;
-    if (args.Get("kind", "srt") == "ir2") {
-      opts.params.index_kind = FeatureIndexKind::kIr2;
-    }
-    opts.params.page_size_bytes =
-        args.GetUint("page-size", kDefaultPageSizeBytes);
-    opts.params.fill = args.GetDouble("fill", 1.0);
-    if (args.Has("signature-bits")) {
-      opts.params.signature_bits = args.GetUint("signature-bits", 0);
-    }
-    if (args.Has("signature-hashes")) {
-      opts.params.signature_hashes = args.GetUint("signature-hashes", 3);
-    }
-    opts.memory_budget_bytes =
-        uint64_t{args.GetUint("memory-budget", 256)} << 20;
+    opts.params.index_kind = engine_opts.index_kind;
+    opts.params.page_size_bytes = engine_opts.storage.page_size;
+    opts.params.fill = engine_opts.fill;
+    opts.params.signature_bits = engine_opts.signature_bits;
+    opts.params.signature_hashes = engine_opts.signature_hashes;
+    opts.memory_budget_bytes = uint64_t{args.Uint("memory-budget")} << 20;
     opts.temp_dir = args.Get("temp-dir");
     Result<ExternalBuildStats> stats_r =
         BuildIndexFileExternal(data_path, out, opts);
@@ -934,7 +1095,7 @@ int LoadInfo(const Args& args) {
                 static_cast<unsigned long long>(s.bytes),
                 static_cast<unsigned long long>(s.slots), s.slot_bytes);
   }
-  if (args.Has("verify")) {
+  if (args.Bool("verify")) {
     Result<Engine> engine = Engine::Open(path);
     if (!engine.ok()) {
       std::fprintf(stderr, "verify FAILED: %s\n",
@@ -948,90 +1109,85 @@ int LoadInfo(const Args& args) {
 
 const std::vector<CommandSpec>& Commands() {
   static const std::vector<CommandSpec> kCommands = {
-      {"generate", "synthesize a dataset and write it as a .stpq file",
-       "  --out FILE        output dataset path (required)\n"
-       "  --kind NAME       synthetic|real (default synthetic)\n"
-       "  --scale S         dataset scale factor (default 0.1)\n"
-       "  --seed N          RNG seed (default 42)\n",
+      {"generate",
+       "synthesize a dataset and write it as a .stpq file",
+       {{"out", FlagKind::kString, "FILE", nullptr,
+         "output dataset path (required)"},
+        {"kind", FlagKind::kChoice, "synthetic|real", "synthetic",
+         "dataset generator"},
+        {"scale", FlagKind::kDouble, "S", "0.1",
+         "dataset scale factor (1.0 = 100K objects)"},
+        {"seed", FlagKind::kUint, "N", "42", "RNG seed"}},
        &Generate},
-      {"info", "summarize a .stpq dataset",
-       "  --data FILE       dataset path (required)\n", &Info},
+      {"info",
+       "summarize a .stpq dataset",
+       {{"data", FlagKind::kString, "FILE", nullptr,
+         "dataset path (required)"}},
+       &Info},
       {"build",
        "build all indexes over a dataset and persist them as a .stpqx file",
-       "  --data FILE       dataset to index (required)\n"
-       "  --index FILE      output index file path (required)\n"
-       "  --kind srt|ir2    feature index to build (default srt)\n"
-       "  --page-size N     page size in bytes (default 4096)\n"
-       "  --fill F          bulk-load fill factor in (0, 1]\n"
-       "  --signature-bits N / --signature-hashes N  IR2 signatures\n"
-       "  --external        stream-build on disk in bounded memory\n"
-       "                    (external merge sort; byte-identical output)\n"
-       "  --memory-budget MB  external sort memory ceiling (default 256)\n"
-       "  --temp-dir DIR    where external sort runs spill (default: next\n"
-       "                    to the output index)\n",
+       Join({{{"data", FlagKind::kString, "FILE", nullptr,
+               "dataset to index (required)"},
+              {"index", FlagKind::kString, "FILE", nullptr,
+               "output index file path (required)"}},
+             kBuildFlags,
+             {{"external", FlagKind::kBool, nullptr, nullptr,
+               "stream-build on disk in bounded memory (external merge "
+               "sort; byte-identical output)"},
+              {"memory-budget", FlagKind::kUint, "MB", "256",
+               "external sort memory ceiling"},
+              {"temp-dir", FlagKind::kString, "DIR", nullptr,
+               "where external sort runs spill (default: next to the output "
+               "index)"}}}),
        &BuildIndex},
-      {"load", "print the superblock + segment catalog of a .stpqx file",
-       "  --index FILE      index file path (required)\n"
-       "  --verify          additionally open the index with Engine::Open:\n"
-       "                    segment checksums, node slot headers and tree\n"
-       "                    metadata (nodes are not decoded)\n",
+      {"load",
+       "print the superblock + segment catalog of a .stpqx file",
+       {{"index", FlagKind::kString, "FILE", nullptr,
+         "index file path (required)"},
+        {"verify", FlagKind::kBool, nullptr, nullptr,
+         "also open the index with Engine::Open: segment checksums, node "
+         "slot headers and tree metadata (nodes are not decoded)"}},
        &LoadInfo},
-      {"query", "run one query and print the top-k",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --keywords \"a,b;c\"  per-set keyword lists (required)\n"
-       "  --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --explain         print per-set contributions for each result\n",
+      {"query",
+       "run one query and print the top-k",
+       Join({kEngineFlags, kQueryFlags,
+             {{"keywords", FlagKind::kString, "\"a,b;c\"", nullptr,
+               "per-set keyword lists (required)"},
+              {"explain", FlagKind::kBool, nullptr, nullptr,
+               "print per-set contributions for each result"}}}),
        &RunQuery},
-      {"bench", "run a generated query batch sequentially",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --queries N / --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --io-ms MS        simulated cost per page read\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n",
+      {"bench",
+       "run a generated query batch on one thread",
+       Join({kEngineFlags, kQueryFlags, BatchFlags("50"), kAdminFlags,
+             {kSlowLogFlag}}),
        &Bench},
-      {"workload", "parallel throughput sweep over thread counts",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --threads N[,N...]  thread counts to sweep (default 1)\n"
-       "  --queries N / --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --io-ms MS        simulated cost per page read\n"
-       "  --metrics FILE    write Prometheus text exposition\n"
-       "  --trace-out FILE  write Chrome trace JSON\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --slow-ms T       retain queries at or above T ms (/slowz)\n"
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n",
+      {"workload",
+       "parallel throughput sweep over thread counts",
+       Join({kEngineFlags, kQueryFlags, BatchFlags("200"),
+             {{"threads", FlagKind::kString, "N[,N...]", "1",
+               "thread counts to sweep"},
+              kMetricsFlag, kTraceOutFlag},
+             kAdminFlags, {kSlowLogFlag}}),
        &Workload},
-      {"profile", "sequential run with phase breakdown + latency histogram",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --queries N / --k N / --r R / --lambda L\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       "  --io-ms MS        simulated cost per page read\n"
-       "  --metrics FILE    write Prometheus text exposition\n"
-       "  --trace-out FILE  write Chrome trace JSON\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --slow-ms T       retain queries at or above T ms (/slowz)\n"
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n",
+      {"profile",
+       "one-thread run with phase breakdown + latency histogram",
+       Join({kEngineFlags, kQueryFlags, BatchFlags("100"),
+             {kMetricsFlag, kTraceOutFlag}, kAdminFlags, {kSlowLogFlag}}),
        &Profile},
-      {"trace", "run with the tracer armed and export Chrome trace JSON",
-       STPQ_CLI_ENGINE_FLAGS
-       "  --trace-out FILE  output path (default trace.json)\n"
-       "  --slow-ms T       capture only queries at or above T ms\n"
-       "  --queries N / --threads N\n"
-       "  --variant range|influence|nn\n"
-       "  --algo stps|stds\n"
-       STPQ_CLI_ADMIN_FLAGS
-       "  --linger-ms MS    keep the admin server up MS ms after the run\n"
-       "                    (note: a /tracez scrape consumes trace events\n"
-       "                    the export would otherwise include)\n",
+      {"trace",
+       "run with the tracer armed and export Chrome trace JSON",
+       Join({kEngineFlags, kQueryFlags, BatchFlags("100"),
+             {{"threads", FlagKind::kUint, "N", "1", "worker threads"},
+              {"trace-out", FlagKind::kString, "FILE", "trace.json",
+               "output path"},
+              {"slow-ms", FlagKind::kDouble, "T", nullptr,
+               "capture only queries at or above T ms"}},
+             kAdminFlags}),
        &Trace},
-      {"validate", "run the deep structural validators over every index",
-       STPQ_CLI_ENGINE_FLAGS, &Validate},
+      {"validate",
+       "run the deep structural validators over every index",
+       kEngineFlags,
+       &Validate},
   };
   return kCommands;
 }
@@ -1039,15 +1195,25 @@ const std::vector<CommandSpec>& Commands() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = Parse(argc, argv);
+  if (argc < 2) return Usage();
+  const std::string command = argv[1];
   for (const CommandSpec& c : Commands()) {
-    if (args.command != c.name) continue;
-    if (args.Has("help")) {
-      std::printf("usage: stpq_cli %s [flags]\n%s\n%s", c.name, c.summary,
-                  c.help);
-      return 0;
+    if (command != c.name) continue;
+    for (int i = 2; i < argc; ++i) {
+      if (std::string(argv[i]) == "--help") {
+        std::printf("usage: stpq_cli %s [flags]\n%s\n", c.name, c.summary);
+        PrintFlagHelp(c.flags);
+        return 0;
+      }
     }
-    return c.run(args);
+    std::map<std::string, std::string> given;
+    std::string error;
+    if (!Parse(c.flags, argc, argv, &given, &error)) {
+      std::fprintf(stderr, "stpq_cli %s: %s (see 'stpq_cli %s --help')\n",
+                   c.name, error.c_str(), c.name);
+      return 2;
+    }
+    return c.run(Args(&c.flags, std::move(given)));
   }
   return Usage();
 }
